@@ -9,7 +9,12 @@
 #   scripts/check.sh sanitize   # sanitizers only (+ emc-lint + docs)
 #   scripts/check.sh tsan       # ThreadSanitizer (+ emc-lint + docs)
 #
-# Exits non-zero on the first configure/build/test/lint/docs failure.
+# When the default (Release) preset is among those built, the replay
+# oracle (scripts/check_replay.sh) also re-runs the deterministic
+# campaigns and byte-compares their 11 CSVs against results/.
+#
+# Exits non-zero on the first configure/build/test/lint/docs/replay
+# failure.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -28,6 +33,13 @@ for preset in "${presets[@]}"; do
   cmake --build --preset "$preset" -j "$jobs"
   echo "==> [$preset] test"
   ctest --preset "$preset" -j "$jobs"
+done
+
+for preset in "${presets[@]}"; do
+  if [ "$preset" = default ]; then
+    echo "==> replay oracle (build/)"
+    scripts/check_replay.sh build
+  fi
 done
 
 # emc-lint over the TU set of the first preset built above (every

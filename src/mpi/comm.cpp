@@ -19,54 +19,56 @@ bool matches(const Envelope& env, const PendingRecv& pr) {
          (pr.want_tag == kAnyTag || pr.want_tag == env.tag);
 }
 
-/// Shared teardown reporting of both request kinds: a request
-/// destroyed without ever being waited on is a leak — unless the
-/// stack is unwinding (simulation teardown or a caller exception) or
-/// the request's communicator epoch was revoked (recovery abandons
-/// in-flight requests by design), in which case the verifier is only
-/// told to drop its tracking entry.
-void finish_tracked_request(verify::Verifier* vrf, std::uint64_t vid,
-                            bool waited, ft::State* ft, std::uint64_t epoch) {
-  if (vrf == nullptr || vid == 0) return;
-  const bool benign = waited || std::uncaught_exceptions() > 0 ||
-                      (ft != nullptr && ft->revoked(epoch));
-  vrf->on_request_finish(vid, benign ? verify::ReqFinish::kDropped
-                                     : verify::ReqFinish::kLeaked);
-}
-
 }  // namespace
 
-/// Request state of a non-blocking send.
-struct SendState final : RequestState {
-  std::unique_ptr<RndvHandshake> handshake;  // null on the eager path
-  int dst = 0;
-  int tag = 0;
-  // Verification bookkeeping (vrf null when verification is off).
+/// Verification bookkeeping shared by both request kinds (vrf null
+/// when verification is off). A request destroyed without ever being
+/// waited on is a leak — unless the stack is unwinding (simulation
+/// teardown or a caller exception) or the request's communicator epoch
+/// was revoked (recovery abandons in-flight requests by design), in
+/// which case the verifier is only told to drop its tracking entry.
+struct TrackedState : RequestState {
   verify::Verifier* vrf = nullptr;
   std::uint64_t vid = 0;
   bool waited = false;
   ft::State* ft = nullptr;
   std::uint64_t epoch = 0;
 
-  ~SendState() override { finish_tracked_request(vrf, vid, waited, ft, epoch); }
+  /// Reports a successful completion (no-op without verification).
+  void completed() {
+    if (vrf != nullptr) {
+      vrf->on_request_finish(vid, verify::ReqFinish::kCompleted);
+    }
+    vid = 0;
+  }
+
+  ~TrackedState() override {
+    if (vrf == nullptr || vid == 0) return;
+    const bool benign = waited || std::uncaught_exceptions() > 0 ||
+                        (ft != nullptr && ft->revoked(epoch));
+    vrf->on_request_finish(vid, benign ? verify::ReqFinish::kDropped
+                                       : verify::ReqFinish::kLeaked);
+  }
+};
+
+/// Request state of a non-blocking send. The handshake is only armed
+/// when the send went rendezvous.
+struct SendState final : TrackedState {
+  RndvHandshake handshake;
+  bool rendezvous = false;
+  int dst = 0;
+  int tag = 0;
+  std::uint64_t bytes = 0;
 };
 
 /// Request state of a non-blocking receive. Deregisters itself from
 /// the posted queue if the request is abandoned before matching.
-struct RecvState final : RequestState {
+struct RecvState final : TrackedState {
   PendingRecv pr;
   Mailbox* mailbox = nullptr;
-  verify::Verifier* vrf = nullptr;
-  std::uint64_t vid = 0;
-  bool waited = false;
-  ft::State* ft = nullptr;
-  std::uint64_t epoch = 0;
 
   ~RecvState() override {
-    if (mailbox != nullptr && !pr.matched) {
-      std::erase(mailbox->posted, &pr);
-    }
-    finish_tracked_request(vrf, vid, waited, ft, epoch);
+    if (mailbox != nullptr && !pr.matched) std::erase(mailbox->posted, &pr);
   }
 };
 
@@ -237,24 +239,73 @@ void Comm::post_envelope(int dst, std::unique_ptr<Envelope> env) {
   box.unexpected.push_back(std::move(env));
 }
 
-void Comm::deliver_eager(int dst, std::unique_ptr<Envelope> env) {
+void Comm::transmit(int dst, std::unique_ptr<Envelope> env) {
   const int wd = to_world(dst);
-  net::FaultInjector* faults =
-      dst == rank() ? nullptr : world_->fabric().faults_for(wrank(), wd);
-  // The ARQ channel takes over whenever faults can strike OR it owns
-  // the wire itself (clocked transport / routed path — engaged()).
-  if (arq_ != nullptr && dst != rank() &&
-      (faults != nullptr || arq_->engaged(wrank(), wd))) {
-    deliver_reliable(dst, std::move(env));
+  const std::size_t bytes = env->payload.size();
+  // A pipelined chunk may not hit the wire before its helper core
+  // finished sealing it; 0 (every non-chunk path) leaves the send
+  // time untouched.
+  const double send_time = std::max(proc_->now(), env->wire_not_before);
+  env->arrival = send_time;
+  if (dst == rank()) {  // self-sends never touch the wire
+    post_envelope(dst, std::move(env));
     return;
   }
-  if (faults == nullptr || dst == rank()) {
+  // Engaged ARQ transports (clocked / routed) reserve the wire
+  // themselves and fill arrival/queue/relay from the Delivery.
+  const bool engaged = arq_resolves_wire(wd);
+  if (!engaged) {
+    const net::PathTimes path = world_->fabric().reserve_route(
+        wrank(), wd, bytes, send_time, relay_policy_.hop_delay(bytes));
+    env->arrival = path.arrival;
+    env->nic_queue = path.queue_delay;
+    env->relay_delay = path.relay_delay;
+  }
+  net::FaultInjector* faults = world_->fabric().faults_for(wrank(), wd);
+  // The ARQ channel takes over whenever faults can strike OR it owns
+  // the wire itself (clocked transport / routed path — engaged()).
+  if (arq_ != nullptr && (faults != nullptr || engaged)) {
+    if (arq_->link_dead(wrank(), wd)) {
+      throw reliable::PeerUnreachable(wrank(), wd, 0);
+    }
+    // Collective-internal traffic (tags >= 2^28) is link-checksummed,
+    // so corruption is caught and retransmitted below the MPI layer;
+    // user point-to-point payloads defer integrity to the upper layer.
+    const reliable::Delivery d =
+        arq_->deliver(wrank(), wd, bytes, send_time, env->arrival,
+                      env->tag >= (1 << 28), relay_policy_);
+    env->arq_seq = d.seq;
+    env->arq_transmissions = d.transmissions;
+    if (d.result == reliable::Delivery::Result::kDeadLink) {
+      // Graceful degradation: tell the verifier, leave a tombstone so
+      // the receiver fails fast instead of timing out, and raise the
+      // structured error on the sender.
+      if (vrf_ != nullptr) {
+        vrf_->on_peer_unreachable(wrank(), wd, d.transmissions);
+      }
+      env->poisoned = true;
+      env->payload.clear();
+      post_envelope(dst, std::move(env));
+      throw reliable::PeerUnreachable(wrank(), wd, d.transmissions);
+    }
+    // A damaged delivery keeps the payload clean in the mailbox (it
+    // doubles as the sender's retransmit buffer); the damage is
+    // applied when the receiver copies it out, and undone again if the
+    // upper layer NACKs (Comm::recover_damaged_recv).
+    env->arrival = d.arrival;
+    if (engaged) env->nic_queue = d.queue_delay;
+    env->relay_delay = d.relay_delay;
+    env->damage = d.damage;
+    post_envelope(dst, std::move(env));
+    return;
+  }
+  if (faults == nullptr) {
     post_envelope(dst, std::move(env));
     return;
   }
   // Unreliable routed traffic draws its fault end-to-end (one draw for
   // the whole path — per-hop granularity needs the ARQ layer).
-  const net::FaultDecision d = faults->next(wrank(), wd, env->payload.size());
+  const net::FaultDecision d = faults->next(wrank(), wd, bytes);
   switch (d.kind) {
     case net::FaultKind::kDrop:
       return;  // the wire ate it; nothing ever arrives
@@ -269,8 +320,7 @@ void Comm::deliver_eager(int dst, std::unique_ptr<Envelope> env) {
       copy->seq = world_->next_seq();
       // The duplicate crosses the wire again behind the original.
       const net::PathTimes extra = world_->fabric().reserve_route(
-          wrank(), wd, copy->payload.size(), env->arrival,
-          relay_policy_.hop_delay(copy->payload.size()));
+          wrank(), wd, bytes, env->arrival, relay_policy_.hop_delay(bytes));
       copy->arrival = extra.arrival;
       copy->relay_delay = extra.relay_delay;
       post_envelope(dst, std::move(env));
@@ -287,91 +337,62 @@ void Comm::deliver_eager(int dst, std::unique_ptr<Envelope> env) {
   post_envelope(dst, std::move(env));
 }
 
-void Comm::deliver_reliable(int dst, std::unique_ptr<Envelope> env) {
-  const int wd = to_world(dst);
-  if (arq_->link_dead(wrank(), wd)) {
-    throw reliable::PeerUnreachable(wrank(), wd, 0);
-  }
-  // Collective-internal traffic (tags >= 2^28) is link-checksummed, so
-  // corruption is caught and retransmitted below the MPI layer; user
-  // point-to-point payloads defer integrity to the upper layer.
-  const bool checksummed = env->tag >= (1 << 28);
-  const bool channel_wire = arq_->engaged(wrank(), wd);
-  // A pipelined chunk may not hit the wire before its helper core
-  // finished sealing it; 0 (every non-chunk path) leaves the send
-  // time untouched.
-  const double send_time = std::max(proc_->now(), env->wire_not_before);
-  const reliable::Delivery d =
-      arq_->deliver(wrank(), wd, env->payload.size(), send_time,
-                    env->arrival, checksummed, relay_policy_);
-  env->arq_seq = d.seq;
-  env->arq_transmissions = d.transmissions;
-  switch (d.result) {
-    case reliable::Delivery::Result::kDelivered:
-      env->arrival = d.arrival;
-      if (channel_wire) env->nic_queue = d.queue_delay;
-      env->relay_delay = d.relay_delay;
-      post_envelope(dst, std::move(env));
-      return;
-    case reliable::Delivery::Result::kDeliveredDamaged:
-      // The payload stays clean in the mailbox (it doubles as the
-      // sender's retransmit buffer); the damage is applied when the
-      // receiver copies it out, and undone again if the upper layer
-      // NACKs (Comm::recover_damaged_recv).
-      env->arrival = d.arrival;
-      if (channel_wire) env->nic_queue = d.queue_delay;
-      env->relay_delay = d.relay_delay;
-      env->damage = d.damage;
-      post_envelope(dst, std::move(env));
-      return;
-    case reliable::Delivery::Result::kDeadLink: {
-      // Graceful degradation: tell the verifier, leave a tombstone so
-      // the receiver fails fast instead of timing out, and raise the
-      // structured error on the sender.
-      if (vrf_ != nullptr) {
-        vrf_->on_peer_unreachable(wrank(), wd, d.transmissions);
+void Comm::release_sender(RndvHandshake& handshake, double sender_complete) {
+  handshake.sender_complete = sender_complete;
+  handshake.completed = true;
+  proc_->notify_all(handshake.done);
+}
+
+template <typename Ready, typename Check>
+bool Comm::park(sim::Waitable& w, const Ready& ready, const Check& check,
+                double timeout) {
+  if (ft_ == nullptr) {
+    while (!ready()) {
+      if (timeout <= 0.0) {
+        proc_->wait(w);
+      } else if (!proc_->wait_for(w, timeout)) {
+        return false;
       }
-      const int src = wrank();
-      const std::uint32_t attempts = d.transmissions;
-      env->poisoned = true;
-      env->payload.clear();
-      post_envelope(dst, std::move(env));
-      throw reliable::PeerUnreachable(src, wd, attempts);
     }
+    return true;
   }
+  // Bounded park: poll at the failure detector's granularity so a dead
+  // peer (or a revoked epoch) fails the wait fast instead of hanging.
+  const double poll = ft_->config().detect_timeout;
+  while (!ready()) {
+    ft_guard(/*post=*/false);
+    if (!check()) return false;
+    (void)proc_->wait_for(w, poll);
+  }
+  return true;
 }
 
 void Comm::await_handshake(RndvHandshake& handshake, int dst, int tag,
                            std::uint64_t bytes) {
   const double wait_begin = proc_->now();
-  {
+  try {
     const verify::Verifier::BlockScope block(
         vrf_, wrank(), {verify::BlockKind::kRndvSend, dst, tag});
-    if (ft_ == nullptr) {
-      while (!handshake.completed) proc_->wait(handshake.done);
-    } else {
-      // Bounded park: if the receiver dies (or the epoch is revoked
-      // under us) nobody will ever complete the handshake — poll the
-      // failure detector instead of blocking forever. Abandoning the
-      // handshake is safe: the receiver re-checks revocation and the
-      // sender's ground-truth crash state before dereferencing any
-      // rendezvous envelope, and virtual time is globally monotone,
-      // so a receiver running before the revocation still finds the
-      // handshake (and the send buffer) intact.
-      const int wd = to_world(dst);
-      const double poll = ft_->config().detect_timeout;
-      while (!handshake.completed) {
-        if (!recovery_ && ft_->revoked(epoch_)) {
-          trace_span(trace::Category::kSyncWait, wait_begin, dst, bytes);
-          ft_->throw_revoked(epoch_);
-        }
-        if (ft_->detectable(wd, proc_->now())) {
-          trace_span(trace::Category::kSyncWait, wait_begin, dst, bytes);
-          throw reliable::PeerUnreachable(wrank(), wd, 0);
-        }
-        (void)proc_->wait_for(handshake.done, poll);
-      }
-    }
+    // With the ft layer, poll for the receiver's detected death: nobody
+    // would ever complete the handshake. Abandoning it is safe: the
+    // receiver re-checks revocation and the sender's ground-truth crash
+    // state before dereferencing any rendezvous envelope, and virtual
+    // time is globally monotone, so a receiver running before the
+    // revocation still finds the handshake (and the send buffer) intact.
+    (void)park(
+        handshake.done, [&] { return handshake.completed; },
+        [&] {
+          if (ft_->detectable(to_world(dst), proc_->now())) {
+            throw reliable::PeerUnreachable(wrank(), to_world(dst), 0);
+          }
+          return true;
+        });
+  } catch (const ft::RevokedError&) {
+    trace_span(trace::Category::kSyncWait, wait_begin, dst, bytes);
+    throw;
+  } catch (const reliable::PeerUnreachable&) {
+    trace_span(trace::Category::kSyncWait, wait_begin, dst, bytes);
+    throw;
   }
   trace_span(trace::Category::kSyncWait, wait_begin, dst, bytes);
   const double drain_begin = proc_->now();
@@ -382,63 +403,51 @@ void Comm::await_handshake(RndvHandshake& handshake, int dst, int tag,
 
 // ------------------------------------------------------------ send side
 
-void Comm::send_internal(BytesView data, int dst, int tag) {
-  validate_peer(dst, size());
-  ft_guard(/*post=*/true);
+bool Comm::post_send(BytesView data, int dst, int tag, RndvHandshake* rndv,
+                     double wire_not_before) {
   const int wd = to_world(dst);
   const net::NetworkProfile& prof = world_->fabric().profile(wrank(), wd);
-  const bool self = dst == rank();
-  const double now = proc_->now();
-
-  if (self || data.size() <= prof.eager_threshold) {
-    proc_->advance(prof.send_overhead +
-                   static_cast<double>(data.size()) / prof.copy_bandwidth);
-    trace_span(trace::Category::kCopy, now, dst, data.size());
-    auto env = std::make_unique<Envelope>();
-    env->src = rank();
-    env->world_src = wrank();
-    env->comm_epoch = epoch_;
-    env->tag = tag;
-    env->seq = world_->next_seq();
-    env->payload.assign(data.begin(), data.end());
-    if (self || arq_resolves_wire(wd)) {
-      // Self-sends never touch the wire; engaged ARQ transports
-      // (clocked / routed) reserve the wire inside deliver_reliable,
-      // which then fills arrival/queue/relay from the Delivery.
-      env->arrival = proc_->now();
-    } else {
-      const net::PathTimes path = world_->fabric().reserve_route(
-          wrank(), wd, data.size(), proc_->now(),
-          relay_policy_.hop_delay(data.size()));
-      env->arrival = path.arrival;
-      env->nic_queue = path.queue_delay;
-      env->relay_delay = path.relay_delay;
-    }
-    deliver_eager(dst, std::move(env));
-    return;
-  }
-
-  // Rendezvous: announce via RTS, wait for the receiver to pull.
-  proc_->advance(prof.send_overhead);
-  trace_span(trace::Category::kCopy, now, dst, data.size());
-  RndvHandshake handshake;
+  // Eager below the threshold (and always for self-sends and forced-
+  // eager chunks); rendezvous announces via RTS and waits for the pull.
+  const bool eager = rndv == nullptr || dst == rank() ||
+                     data.size() <= prof.eager_threshold;
+  const double begin = proc_->now();
+  proc_->advance(prof.send_overhead +
+                 (eager ? static_cast<double>(data.size()) /
+                              prof.copy_bandwidth
+                        : 0.0));
+  trace_span(trace::Category::kCopy, begin, dst, data.size());
   auto env = std::make_unique<Envelope>();
   env->src = rank();
   env->world_src = wrank();
   env->comm_epoch = epoch_;
   env->tag = tag;
   env->seq = world_->next_seq();
+  if (eager) {
+    env->payload.assign(data.begin(), data.end());
+    env->wire_not_before = wire_not_before;
+    transmit(dst, std::move(env));
+    return false;
+  }
+  const std::size_t ctrl = world_->config().ctrl_bytes;
   env->rendezvous = true;
   env->rndv_data = data;
-  env->handshake = &handshake;
+  env->handshake = rndv;
   env->arrival = world_->fabric()
-                     .reserve_route(wrank(), wd, world_->config().ctrl_bytes,
-                                    std::max(now, proc_->now()),
-                                    relay_policy_.hop_delay(
-                                        world_->config().ctrl_bytes))
+                     .reserve_route(wrank(), wd, ctrl, proc_->now(),
+                                    relay_policy_.hop_delay(ctrl))
                      .arrival;
   post_envelope(dst, std::move(env));
-  await_handshake(handshake, dst, tag, data.size());
+  return true;
+}
+
+void Comm::send_internal(BytesView data, int dst, int tag) {
+  validate_peer(dst, size());
+  ft_guard(/*post=*/true);
+  RndvHandshake handshake;
+  if (post_send(data, dst, tag, &handshake, 0.0)) {
+    await_handshake(handshake, dst, tag, data.size());
+  }
 }
 
 void Comm::send(BytesView data, int dst, int tag) {
@@ -452,52 +461,22 @@ void Comm::send_chunk(BytesView data, int dst, int tag,
   guarded([&] {
     validate_peer(dst, size());
     ft_guard(/*post=*/true);
-    const int wd = to_world(dst);
-    const net::NetworkProfile& prof = world_->fabric().profile(wrank(), wd);
-    const bool self = dst == rank();
-    const double begin = proc_->now();
     // Always the eager shape, whatever the chunk size: a chunk is a
     // self-contained sealed frame, and a rendezvous handshake would
-    // serialize the pipeline it exists to create. The sender's clock
-    // advances only by CPU overhead + copy; the wire is reserved (or
-    // ARQ-resolved) no earlier than the chunk's seal-completion time,
-    // which is how encryption hides behind transmission.
-    proc_->advance(prof.send_overhead +
-                   static_cast<double>(data.size()) / prof.copy_bandwidth);
-    trace_span(trace::Category::kCopy, begin, dst, data.size());
-    auto env = std::make_unique<Envelope>();
-    env->src = rank();
-    env->world_src = wrank();
-    env->comm_epoch = epoch_;
-    env->tag = tag;
-    env->seq = world_->next_seq();
-    env->payload.assign(data.begin(), data.end());
-    env->wire_not_before = wire_not_before;
-    if (self || arq_resolves_wire(wd)) {
-      // Engaged ARQ transports reserve the wire in deliver_reliable,
-      // which clamps to wire_not_before itself.
-      env->arrival = std::max(proc_->now(), wire_not_before);
-    } else {
-      const net::PathTimes path = world_->fabric().reserve_route(
-          wrank(), wd, data.size(), std::max(proc_->now(), wire_not_before),
-          relay_policy_.hop_delay(data.size()));
-      env->arrival = path.arrival;
-      env->nic_queue = path.queue_delay;
-      env->relay_delay = path.relay_delay;
-    }
-    deliver_eager(dst, std::move(env));
+    // serialize the pipeline it exists to create. The wire is reserved
+    // (or ARQ-resolved) no earlier than the chunk's seal-completion
+    // time, which is how encryption hides behind transmission.
+    (void)post_send(data, dst, tag, nullptr, wire_not_before);
   });
 }
 
 Request Comm::isend_internal(BytesView data, int dst, int tag) {
   validate_peer(dst, size());
   ft_guard(/*post=*/true);
-  const int wd = to_world(dst);
-  const net::NetworkProfile& prof = world_->fabric().profile(wrank(), wd);
-  const bool self = dst == rank();
   auto state = std::make_unique<SendState>();
   state->dst = dst;
   state->tag = tag;
+  state->bytes = data.size();
   state->ft = ft_;
   state->epoch = epoch_;
   if (vrf_ != nullptr) {
@@ -505,52 +484,7 @@ Request Comm::isend_internal(BytesView data, int dst, int tag) {
     state->vid = vrf_->on_request_start(wrank(), verify::ReqKind::kSend, dst,
                                         tag, data.data(), data.size());
   }
-
-  const double begin = proc_->now();
-  if (self || data.size() <= prof.eager_threshold) {
-    proc_->advance(prof.send_overhead +
-                   static_cast<double>(data.size()) / prof.copy_bandwidth);
-    trace_span(trace::Category::kCopy, begin, dst, data.size());
-    auto env = std::make_unique<Envelope>();
-    env->src = rank();
-    env->world_src = wrank();
-    env->comm_epoch = epoch_;
-    env->tag = tag;
-    env->seq = world_->next_seq();
-    env->payload.assign(data.begin(), data.end());
-    if (self || arq_resolves_wire(wd)) {
-      env->arrival = proc_->now();
-    } else {
-      const net::PathTimes path = world_->fabric().reserve_route(
-          wrank(), wd, data.size(), proc_->now(),
-          relay_policy_.hop_delay(data.size()));
-      env->arrival = path.arrival;
-      env->nic_queue = path.queue_delay;
-      env->relay_delay = path.relay_delay;
-    }
-    deliver_eager(dst, std::move(env));
-    return Request(std::move(state));
-  }
-
-  proc_->advance(prof.send_overhead);
-  trace_span(trace::Category::kCopy, begin, dst, data.size());
-  state->handshake = std::make_unique<RndvHandshake>();
-  auto env = std::make_unique<Envelope>();
-  env->src = rank();
-  env->world_src = wrank();
-  env->comm_epoch = epoch_;
-  env->tag = tag;
-  env->seq = world_->next_seq();
-  env->rendezvous = true;
-  env->rndv_data = data;
-  env->handshake = state->handshake.get();
-  env->arrival = world_->fabric()
-                     .reserve_route(wrank(), wd, world_->config().ctrl_bytes,
-                                    proc_->now(),
-                                    relay_policy_.hop_delay(
-                                        world_->config().ctrl_bytes))
-                     .arrival;
-  post_envelope(dst, std::move(env));
+  state->rendezvous = post_send(data, dst, tag, &state->handshake, 0.0);
   return Request(std::move(state));
 }
 
@@ -605,63 +539,43 @@ Status Comm::complete_recv(PendingRecv& pr) {
   {
     const verify::Verifier::BlockScope block(
         vrf_, wrank(), {verify::BlockKind::kRecv, pr.want_src, pr.want_tag});
-    if (ft_ == nullptr) {
-      while (!pr.matched) {
-        if (timeout <= 0.0) {
-          proc_->wait(pr.cond);
-        } else if (!proc_->wait_for(pr.cond, timeout)) {
-          throw MpiError("receive timed out after " + std::to_string(timeout) +
-                         " virtual seconds (message dropped or sender "
-                         "failed)");
-        }
-      }
-    } else {
-      // Bounded wait: poll at the failure detector's granularity so a
-      // receive from a dead rank (or on a revoked epoch) fails fast
-      // instead of hanging. recv_timeout still applies on top, rounded
-      // up to the polling granularity.
-      const double poll = ft_->config().detect_timeout;
-      while (!pr.matched) {
-        if (!recovery_ && ft_->revoked(epoch_)) ft_->throw_revoked(epoch_);
-        if (pr.want_src != kAnySource) {
-          const int ws = to_world(pr.want_src);
-          if (ws != wrank() && ft_->detectable(ws, proc_->now())) {
-            throw reliable::PeerUnreachable(ws, wrank(), 0);
-          }
-        } else {
-          bool someone_alive = false;
-          for (int i = 0; i < size(); ++i) {
-            if (i != rank() && !ft_->detectable(to_world(i), proc_->now())) {
-              someone_alive = true;
-              break;
+    // With the ft layer a receive from a dead rank fails fast, and
+    // recv_timeout still applies on top, rounded up to the polling
+    // granularity.
+    const bool matched = park(
+        pr.cond, [&] { return pr.matched != nullptr; },
+        [&] {
+          if (pr.want_src != kAnySource) {
+            const int ws = to_world(pr.want_src);
+            if (ws != wrank() && ft_->detectable(ws, proc_->now())) {
+              throw reliable::PeerUnreachable(ws, wrank(), 0);
             }
+          } else {
+            bool someone_alive = false;
+            for (int i = 0; i < size() && !someone_alive; ++i) {
+              someone_alive =
+                  i != rank() && !ft_->detectable(to_world(i), proc_->now());
+            }
+            if (!someone_alive) throw reliable::PeerUnreachable(-1, wrank(), 0);
           }
-          if (!someone_alive) {
-            throw reliable::PeerUnreachable(-1, wrank(), 0);
-          }
-        }
-        if (timeout > 0.0 && proc_->now() - wait_begin >= timeout) {
-          throw MpiError("receive timed out after " + std::to_string(timeout) +
-                         " virtual seconds (message dropped or sender "
-                         "failed)");
-        }
-        (void)proc_->wait_for(pr.cond, poll);
-      }
-      // Matched, but the epoch may have been revoked while parked:
-      // pending operations on a revoked communicator fail fast, and
-      // doing so before touching the envelope is what makes sender
-      // abandonment memory-safe (see await_handshake).
-      if (!recovery_ && ft_->revoked(epoch_)) {
-        pr.matched.reset();
-        ft_->throw_revoked(epoch_);
-      }
+          return timeout <= 0.0 || proc_->now() - wait_begin < timeout;
+        },
+        timeout);
+    if (!matched) {
+      throw MpiError("receive timed out after " + std::to_string(timeout) +
+                     " virtual seconds (message dropped or sender failed)");
+    }
+    // Matched, but the epoch may have been revoked while parked:
+    // pending operations on a revoked communicator fail fast, and doing
+    // so before touching the envelope is what makes sender abandonment
+    // memory-safe (see await_handshake).
+    if (ft_ != nullptr && !recovery_ && ft_->revoked(epoch_)) {
+      pr.matched.reset();
+      ft_->throw_revoked(epoch_);
     }
   }
   trace_span(trace::Category::kSyncWait, wait_begin, pr.want_src);
   Envelope& env = *pr.matched;
-  const net::NetworkProfile& prof =
-      world_->fabric().profile(env.world_src, wrank());
-
   Status status;
   status.source = env.src;
   status.tag = env.tag;
@@ -675,7 +589,6 @@ Status Comm::complete_recv(PendingRecv& pr) {
     pr.matched.reset();
     throw reliable::PeerUnreachable(src, wrank(), attempts);
   }
-
   if (ft_ != nullptr && env.rendezvous &&
       ft_->crashed_by(env.world_src, proc_->now())) {
     // Ground-truth crash check (no detection delay): the sender died,
@@ -685,166 +598,123 @@ Status Comm::complete_recv(PendingRecv& pr) {
     pr.matched.reset();
     throw reliable::PeerUnreachable(src, wrank(), 0);
   }
-
-  if (!env.rendezvous) {
-    if (env.payload.size() > pr.buf.size()) {
-      throw MpiError("receive buffer too small: need " +
-                     std::to_string(env.payload.size()) + " bytes, have " +
-                     std::to_string(pr.buf.size()));
-    }
-    if (env.arq_transmissions > 1) {
-      // The wire time includes at least one ARQ retransmission
-      // dialogue; attribute the whole parked interval to recovery.
-      const double begin = proc_->now();
-      sleep_until(env.arrival);
-      trace_span(trace::Category::kArqRetransmit, begin, env.src,
-                 env.payload.size());
-    } else {
-      sleep_traced(env.arrival, env.nic_queue, trace::Category::kWire,
-                   env.src, env.payload.size(), env.relay_delay);
-    }
-    const double copy_begin = proc_->now();
-    proc_->advance(prof.recv_overhead +
-                   static_cast<double>(env.payload.size()) /
-                       prof.copy_bandwidth);
-    trace_span(trace::Category::kCopy, copy_begin, env.src,
-               env.payload.size());
-    if (!env.payload.empty()) {
-      std::memcpy(pr.buf.data(), env.payload.data(), env.payload.size());
-    }
-    // Exposure accounting: every relay this payload crossed could
-    // observe it. What that means is the secure layer's call
-    // (plaintext under hop-trusted relays, sealed bytes end-to-end).
-    world_->fabric().note_relay_exposure(
-        world_->fabric().relay_count(env.world_src, wrank()));
-    status.bytes = env.payload.size();
-    if (arq_ != nullptr && env.damage.kind == net::FaultKind::kCorrupt) {
-      // Apply the in-flight damage at copy-out and stash the clean
-      // payload: it models the sender's retransmit buffer, which
-      // end-to-end NACK recovery (recover_damaged_recv) replays from.
-      pr.buf[env.damage.position] ^= env.damage.flip_mask;
-      reliable::RetransmitStash& st = arq_->stash(wrank());
-      st.valid = true;
-      st.src = env.src;
-      st.tag = env.tag;
-      st.seq = env.arq_seq;
-      st.transmissions = env.arq_transmissions;
-      st.clean = std::move(env.payload);
-    }
-  } else if (arq_ != nullptr && env.src != rank() &&
-             world_->fabric().faults_for(env.world_src, wrank()) != nullptr) {
-    status = complete_rndv_reliable(pr);
-    return status;
-  } else {
-    if (env.rndv_data.size() > pr.buf.size()) {
-      throw MpiError("receive buffer too small for rendezvous payload");
-    }
-    // CTS back to the sender, then an RDMA-style pull of the payload
-    // through the sender's egress NIC. The sender CPU does not
-    // participate (zero-copy), so only its NIC is reserved.
-    const double handshake_start = std::max(proc_->now(), env.arrival);
-    const net::PathTimes cts = world_->fabric().reserve_route(
-        wrank(), env.world_src, world_->config().ctrl_bytes, handshake_start,
-        relay_policy_.hop_delay(world_->config().ctrl_bytes));
-    const net::PathTimes data = world_->fabric().reserve_route(
-        env.world_src, wrank(), env.rndv_data.size(), cts.arrival,
-        relay_policy_.hop_delay(env.rndv_data.size()));
-    // Fault the pulled data in place. Losing the transfer outright
-    // would leave the sender parked on the handshake, so the injector
-    // degrades drop/duplicate to corruption on this path.
-    std::size_t deliver_len = env.rndv_data.size();
-    net::FaultDecision fault;
-    if (net::FaultInjector* faults =
-            world_->fabric().faults_for(env.world_src, wrank());
-        faults != nullptr && env.src != rank()) {
-      fault = faults->next(env.world_src, wrank(), deliver_len,
-                           /*allow_loss=*/false);
-    }
-    if (fault.kind == net::FaultKind::kTruncate) deliver_len = fault.new_length;
-    if (deliver_len > 0) {
-      std::memcpy(pr.buf.data(), env.rndv_data.data(), deliver_len);
-    }
-    if (fault.kind == net::FaultKind::kCorrupt) {
-      pr.buf[fault.position] ^= fault.flip_mask;
-    }
-    status.bytes = deliver_len;
-    env.handshake->sender_complete = data.egress_done;
-    env.handshake->completed = true;
-    proc_->notify_all(env.handshake->done);
-    // A latency spike on the pull delays the receiver, not the sender
-    // (whose NIC finished at egress_done either way). Fault delays are
-    // attributed to the wire span like the latency they model.
-    sleep_traced(fault.kind == net::FaultKind::kDelay
-                     ? data.arrival + fault.delay_seconds
-                     : data.arrival,
-                 cts.queue_delay + data.queue_delay, trace::Category::kWire,
-                 env.src, env.rndv_data.size(), data.relay_delay);
-    world_->fabric().note_relay_exposure(
-        world_->fabric().relay_count(env.world_src, wrank()));
-    const double copy_begin = proc_->now();
-    proc_->advance(prof.recv_overhead);
-    trace_span(trace::Category::kCopy, copy_begin, env.src,
-               env.rndv_data.size());
-  }
+  status.bytes = env.rendezvous ? pull(pr) : copy_out(pr);
   pr.matched.reset();
   return status;
 }
 
-Status Comm::complete_rndv_reliable(PendingRecv& pr) {
+std::size_t Comm::copy_out(PendingRecv& pr) {
+  Envelope& env = *pr.matched;
+  const std::size_t len = env.payload.size();
+  if (len > pr.buf.size()) {
+    throw MpiError("receive buffer too small: need " + std::to_string(len) +
+                   " bytes, have " + std::to_string(pr.buf.size()));
+  }
+  const int relays = world_->fabric().relay_count(env.world_src, wrank());
+  if (env.arq_transmissions > static_cast<std::uint32_t>(relays) + 1) {
+    // More transmissions than the route has hops: the wire time
+    // includes at least one ARQ retransmission dialogue; attribute the
+    // whole parked interval to recovery.
+    const double begin = proc_->now();
+    sleep_until(env.arrival);
+    trace_span(trace::Category::kArqRetransmit, begin, env.src, len);
+  } else {
+    sleep_traced(env.arrival, env.nic_queue, trace::Category::kWire, env.src,
+                 len, env.relay_delay);
+  }
+  const net::NetworkProfile& prof =
+      world_->fabric().profile(env.world_src, wrank());
+  const double copy_begin = proc_->now();
+  proc_->advance(prof.recv_overhead +
+                 static_cast<double>(len) / prof.copy_bandwidth);
+  trace_span(trace::Category::kCopy, copy_begin, env.src, len);
+  if (len > 0) std::memcpy(pr.buf.data(), env.payload.data(), len);
+  // Exposure accounting: every relay this payload crossed could
+  // observe it. What that means is the secure layer's call (plaintext
+  // under hop-trusted relays, sealed bytes end-to-end).
+  world_->fabric().note_relay_exposure(relays);
+  if (arq_ != nullptr && env.damage.kind == net::FaultKind::kCorrupt) {
+    // Apply the in-flight damage at copy-out and stash the clean
+    // payload: it models the sender's retransmit buffer, which
+    // end-to-end NACK recovery (recover_damaged_recv) replays from.
+    pr.buf[env.damage.position] ^= env.damage.flip_mask;
+    stash_clean(env, env.arq_seq, env.arq_transmissions) =
+        std::move(env.payload);
+  }
+  return len;
+}
+
+Bytes& Comm::stash_clean(const Envelope& env, std::uint64_t seq,
+                         std::uint32_t transmissions) {
+  reliable::RetransmitStash& st = arq_->stash(wrank());
+  st.valid = true;
+  st.src = env.src;
+  st.tag = env.tag;
+  st.seq = seq;
+  st.transmissions = transmissions;
+  return st.clean;
+}
+
+std::size_t Comm::pull(PendingRecv& pr) {
   Envelope& env = *pr.matched;
   const int ws = env.world_src;
-  const net::NetworkProfile& prof = world_->fabric().profile(ws, wrank());
-  Status status;
-  status.source = env.src;
-  status.tag = env.tag;
-  if (env.rndv_data.size() > pr.buf.size()) {
+  const std::size_t len = env.rndv_data.size();
+  if (len > pr.buf.size()) {
     throw MpiError("receive buffer too small for rendezvous payload");
   }
-  const std::size_t len = env.rndv_data.size();
-  net::FaultInjector* faults = world_->fabric().faults_for(ws, wrank());
-  reliable::ReliabilityStats& st = arq_->stats_mut();
-
-  if (arq_->link_dead(ws, wrank())) {
+  net::FaultInjector* faults =
+      env.src == rank() ? nullptr : world_->fabric().faults_for(ws, wrank());
+  // Receiver-driven ARQ over the RDMA pull whenever faults can strike:
+  // lost pulls are re-issued when this rank's timer fires, truncated
+  // pulls are NACKed to the sender's NIC, corrupted pulls are
+  // delivered damaged with the clean bytes stashed for end-to-end
+  // recovery. Without ARQ the policy is one fault draw that never
+  // loses the payload (it would leave the sender parked), so the
+  // injector degrades drop/duplicate to corruption.
+  const bool arq = arq_ != nullptr && faults != nullptr;
+  if (arq && arq_->link_dead(ws, wrank())) {
     // The pull link is already dead: unpark the sender (its buffer is
     // free — nothing will ever read it) and fail the receive.
-    env.handshake->sender_complete = proc_->now();
-    env.handshake->completed = true;
-    proc_->notify_all(env.handshake->done);
+    release_sender(*env.handshake, proc_->now());
     pr.matched.reset();
     throw reliable::PeerUnreachable(ws, wrank(), 0);
   }
-
-  // Receiver-driven ARQ over the RDMA pull: the CTS names the pull
-  // sequence; lost pulls are re-issued when the receiver's timer
-  // fires (wait_for — real virtual-time waiting, since this loop runs
-  // on the receiving rank), truncated pulls are NACKed to the
-  // sender's NIC, corrupted pulls are delivered damaged with the
-  // clean bytes stashed for end-to-end recovery.
+  // CTS back to the sender, then an RDMA-style pull of the payload
+  // through the sender's egress NIC. The sender CPU does not
+  // participate (zero-copy), so only its NIC is reserved.
+  const std::size_t ctrl = world_->config().ctrl_bytes;
   const double handshake_start = std::max(proc_->now(), env.arrival);
   const net::PathTimes cts = world_->fabric().reserve_route(
-      wrank(), ws, world_->config().ctrl_bytes, handshake_start,
-      relay_policy_.hop_delay(world_->config().ctrl_bytes));
-  double pull_start = cts.arrival;
-  // Move this rank's clock to the handshake so the retransmission
-  // timers below measure real waiting, not a stale local time.
-  const double rts_begin = proc_->now();
-  sleep_until(handshake_start);
-  trace_span(trace::Category::kWire, rts_begin, env.src, len);
+      wrank(), ws, ctrl, handshake_start, relay_policy_.hop_delay(ctrl));
+  if (arq) {
+    // Move this rank's clock to the handshake so the retransmission
+    // timers below measure real waiting, not a stale local time.
+    const double rts_begin = proc_->now();
+    sleep_until(handshake_start);
+    trace_span(trace::Category::kWire, rts_begin, env.src, len);
+  }
 
-  const auto budget = static_cast<std::uint32_t>(arq_->config().max_retries);
+  const auto budget =
+      arq ? static_cast<std::uint32_t>(arq_->config().max_retries) : 0;
   std::uint32_t attempts = 0;
+  double pull_start = cts.arrival;
   net::PathTimes data{};
   net::FaultDecision fault{};
   bool delivered = false;
   for (int attempt = 0; attempts <= budget; ++attempt) {
     ++attempts;
-    ++st.data_frames;
-    if (attempt > 0) ++st.retransmits;
     // Routed pulls replay the whole route per attempt; faults stay at
     // end-to-end granularity on this receiver-driven path.
     data = world_->fabric().reserve_route(ws, wrank(), len, pull_start,
                                           relay_policy_.hop_delay(len));
-    fault = faults->next(ws, wrank(), len, /*allow_loss=*/true);
+    if (faults != nullptr) fault = faults->next(ws, wrank(), len, arq);
+    if (!arq) {
+      delivered = true;
+      break;
+    }
+    reliable::ReliabilityStats& st = arq_->stats_mut();
+    ++st.data_frames;
+    if (attempt > 0) ++st.retransmits;
     if (fault.kind == net::FaultKind::kDrop) {
       // The pull vanished: wait out the retransmission timer on this
       // rank, then re-issue the pull.
@@ -854,17 +724,15 @@ Status Comm::complete_rndv_reliable(PendingRecv& pr) {
       continue;
     }
     if (fault.kind == net::FaultKind::kTruncate ||
-        (fault.kind == net::FaultKind::kCorrupt &&
-         env.tag >= (1 << 28))) {
+        (fault.kind == net::FaultKind::kCorrupt && env.tag >= (1 << 28))) {
       // Link NACK back to the sender's NIC; it replays the pull.
       // Corruption only qualifies on link-checksummed collective-
       // internal frames — user payloads defer integrity upward.
       ++st.link_nacks;
+      const std::size_t nack = arq_->config().ctrl_bytes;
       pull_start = world_->fabric()
-                       .reserve_route(wrank(), ws, arq_->config().ctrl_bytes,
-                                      data.arrival,
-                                      relay_policy_.hop_delay(
-                                          arq_->config().ctrl_bytes))
+                       .reserve_route(wrank(), ws, nack, data.arrival,
+                                      relay_policy_.hop_delay(nack))
                        .arrival;
       continue;
     }
@@ -883,64 +751,58 @@ Status Comm::complete_rndv_reliable(PendingRecv& pr) {
   if (ft_ != nullptr && !recovery_ && ft_->revoked(epoch_)) {
     // Revoked while parked: complete the handshake so the (alive)
     // sender unparks promptly, then fail this pending receive fast.
-    env.handshake->sender_complete = proc_->now();
-    env.handshake->completed = true;
-    proc_->notify_all(env.handshake->done);
+    release_sender(*env.handshake, proc_->now());
     pr.matched.reset();
     ft_->throw_revoked(epoch_);
   }
-
   if (!delivered) {
     // Budget exhausted. Complete the handshake first so the sender
     // unparks, then degrade: mark the link dead, tell the verifier,
     // raise the structured error on this rank.
-    env.handshake->sender_complete = proc_->now();
-    env.handshake->completed = true;
-    proc_->notify_all(env.handshake->done);
+    release_sender(*env.handshake, proc_->now());
     arq_->mark_link_dead(ws, wrank());
-    if (vrf_ != nullptr) {
-      vrf_->on_peer_unreachable(wrank(), ws, attempts);
-    }
+    if (vrf_ != nullptr) vrf_->on_peer_unreachable(wrank(), ws, attempts);
     pr.matched.reset();
     throw reliable::PeerUnreachable(ws, wrank(), attempts);
   }
 
+  // A latency spike on the pull delays the receiver, not the sender
+  // (whose NIC finished at egress_done either way).
   double arrival = data.arrival;
+  std::size_t deliver_len = len;
   if (fault.kind == net::FaultKind::kDuplicate) {
     // The extra copy still crosses the wire before the window drops it.
     (void)world_->fabric().reserve_route(ws, wrank(), len, data.arrival,
                                          relay_policy_.hop_delay(len));
-    ++st.duplicates_suppressed;
+    ++arq_->stats_mut().duplicates_suppressed;
   } else if (fault.kind == net::FaultKind::kDelay) {
     arrival += fault.delay_seconds;
-    ++st.delays_absorbed;
+    if (arq) ++arq_->stats_mut().delays_absorbed;
+  } else if (fault.kind == net::FaultKind::kTruncate) {
+    deliver_len = fault.new_length;  // only without ARQ (NACKed above)
   }
-
-  if (len > 0) {
-    std::memcpy(pr.buf.data(), env.rndv_data.data(), len);
+  if (deliver_len > 0) {
+    std::memcpy(pr.buf.data(), env.rndv_data.data(), deliver_len);
   }
   if (fault.kind == net::FaultKind::kCorrupt) {
-    // Deliver damaged; keep the clean copy (still valid here — the
-    // sender is parked on the handshake) for end-to-end recovery.
     pr.buf[fault.position] ^= fault.flip_mask;
-    ++st.damaged_deliveries;
-    reliable::RetransmitStash& stash = arq_->stash(wrank());
-    stash.valid = true;
-    stash.src = env.src;
-    stash.tag = env.tag;
-    stash.seq = env.seq;
-    stash.transmissions = attempts;
-    stash.clean.assign(env.rndv_data.begin(), env.rndv_data.end());
+    if (arq) {
+      // Deliver damaged; keep the clean copy (still valid here — the
+      // sender is parked on the handshake) for end-to-end recovery.
+      ++arq_->stats_mut().damaged_deliveries;
+      stash_clean(env, env.seq, attempts)
+          .assign(env.rndv_data.begin(), env.rndv_data.end());
+    }
   }
-  ++st.deliveries;
-  if (attempts > 1) {
-    ++st.recoveries;
-    st.recovery_delay_total += arrival - cts.arrival;
+  if (arq) {
+    reliable::ReliabilityStats& st = arq_->stats_mut();
+    ++st.deliveries;
+    if (attempts > 1) {
+      ++st.recoveries;
+      st.recovery_delay_total += arrival - cts.arrival;
+    }
   }
-  status.bytes = len;
-  env.handshake->sender_complete = data.egress_done;
-  env.handshake->completed = true;
-  proc_->notify_all(env.handshake->done);
+  release_sender(*env.handshake, data.egress_done);
   if (attempts > 1) {
     // A recovered pull: the remaining park includes the retransmitted
     // transfer, so the whole interval is ARQ recovery time.
@@ -948,42 +810,41 @@ Status Comm::complete_rndv_reliable(PendingRecv& pr) {
     sleep_until(arrival);
     trace_span(trace::Category::kArqRetransmit, begin, env.src, len);
   } else {
+    // Fault delays are attributed to the wire span like the latency
+    // they model.
     sleep_traced(arrival, cts.queue_delay + data.queue_delay,
                  trace::Category::kWire, env.src, len, data.relay_delay);
   }
   world_->fabric().note_relay_exposure(
       world_->fabric().relay_count(ws, wrank()));
   const double copy_begin = proc_->now();
-  proc_->advance(prof.recv_overhead);
+  proc_->advance(world_->fabric().profile(ws, wrank()).recv_overhead);
   trace_span(trace::Category::kCopy, copy_begin, env.src, len);
-  pr.matched.reset();
-  return status;
+  return deliver_len;
 }
 
 bool Comm::recover_damaged_recv(MutBytes wire, int src, int tag) {
   if (arq_ == nullptr) return false;
-  return guarded([&] { return recover_damaged_internal(wire, src, tag); });
-}
-
-bool Comm::recover_damaged_internal(MutBytes wire, int src, int tag) {
-  reliable::RetransmitStash& st = arq_->stash(wrank());
-  if (!st.valid || st.src != src || st.tag != tag ||
-      st.clean.size() != wire.size()) {
-    return false;  // no fabric stash: genuine attack, not line damage
-  }
-  // Replay the NACK + retransmission dialogue in virtual time: the
-  // channel resolves the clean copy's arrival, this rank waits for it
-  // on a timer, and the retransmitted bytes replace the damaged ones.
-  const double t =
-      arq_->e2e_recover(to_world(src), wrank(), wire.size(), proc_->now(),
-                        st.transmissions, relay_policy_);
-  wait_timer(t - proc_->now());
-  if (!wire.empty()) {
-    std::memcpy(wire.data(), st.clean.data(), wire.size());
-  }
-  st.valid = false;
-  st.clean.clear();
-  return true;
+  return guarded([&] {
+    reliable::RetransmitStash& st = arq_->stash(wrank());
+    if (!st.valid || st.src != src || st.tag != tag ||
+        st.clean.size() != wire.size()) {
+      return false;  // no fabric stash: genuine attack, not line damage
+    }
+    // Replay the NACK + retransmission dialogue in virtual time: the
+    // channel resolves the clean copy's arrival, this rank waits for it
+    // on a timer, and the retransmitted bytes replace the damaged ones.
+    const double t =
+        arq_->e2e_recover(to_world(src), wrank(), wire.size(), proc_->now(),
+                          st.transmissions, relay_policy_);
+    wait_timer(t - proc_->now());
+    if (!wire.empty()) {
+      std::memcpy(wire.data(), st.clean.data(), wire.size());
+    }
+    st.valid = false;
+    st.clean.clear();
+    return true;
+  });
 }
 
 std::optional<Status> Comm::recv_or_abort(
@@ -1000,27 +861,26 @@ std::optional<Status> Comm::recv_or_abort(
   auto* state = dynamic_cast<RecvState*>(owned.get());
   state->waited = true;
   PendingRecv& pr = state->pr;
-  const double poll = ft_->config().detect_timeout;
   const int ws = to_world(src);
   {
     const verify::Verifier::BlockScope block(
         vrf_, wrank(), {verify::BlockKind::kRecv, src, tag});
-    while (!pr.matched) {
-      // The stop predicate (e.g. "the decision board settled") wins
-      // over everything: the posted receive is abandoned and cleanly
-      // deregistered by the request state's destructor.
-      if (stop()) return std::nullopt;
-      if (ws != wrank() && ft_->detectable(ws, proc_->now())) {
-        throw reliable::PeerUnreachable(ws, wrank(), 0);
-      }
-      (void)proc_->wait_for(pr.cond, poll);
-    }
+    // The stop predicate (e.g. "the decision board settled") wins over
+    // everything: the posted receive is abandoned and cleanly
+    // deregistered by the request state's destructor.
+    const bool matched = park(
+        pr.cond, [&] { return pr.matched != nullptr; },
+        [&] {
+          if (stop()) return false;
+          if (ws != wrank() && ft_->detectable(ws, proc_->now())) {
+            throw reliable::PeerUnreachable(ws, wrank(), 0);
+          }
+          return true;
+        });
+    if (!matched) return std::nullopt;
   }
   const Status status = complete_recv(pr);
-  if (vrf_ != nullptr) {
-    vrf_->on_request_finish(state->vid, verify::ReqFinish::kCompleted);
-    state->vid = 0;
-  }
+  state->completed();
   return status;
 }
 
@@ -1041,25 +901,17 @@ Status Comm::wait(Request& request) {
     auto owned = request.take();
     if (auto* send_state = dynamic_cast<SendState*>(owned.get())) {
       send_state->waited = true;
-      if (send_state->handshake) {
-        await_handshake(*send_state->handshake, send_state->dst,
-                        send_state->tag, 0);
+      if (send_state->rendezvous) {
+        await_handshake(send_state->handshake, send_state->dst,
+                        send_state->tag, send_state->bytes);
       }
-      if (vrf_ != nullptr) {
-        vrf_->on_request_finish(send_state->vid,
-                                verify::ReqFinish::kCompleted);
-        send_state->vid = 0;
-      }
+      send_state->completed();
       return Status{};  // send completions carry no matching info
     }
     if (auto* recv_state = dynamic_cast<RecvState*>(owned.get())) {
       recv_state->waited = true;
       const Status status = complete_recv(recv_state->pr);
-      if (vrf_ != nullptr) {
-        vrf_->on_request_finish(recv_state->vid,
-                                verify::ReqFinish::kCompleted);
-        recv_state->vid = 0;
-      }
+      recv_state->completed();
       return status;
     }
     throw MpiError("request does not belong to this communicator");

@@ -145,36 +145,68 @@ class Comm final : public Communicator {
   /// Posts an envelope to @p dst, matching a posted receive if one fits.
   void post_envelope(int dst, std::unique_ptr<detail::Envelope> env);
 
-  /// Runs an eager envelope through the fabric's fault injector (if
-  /// any) before posting: may corrupt or truncate the payload, post a
-  /// duplicate, or drop the envelope entirely. With the reliability
-  /// layer enabled the ARQ dialogue is resolved here instead
-  /// (deliver_reliable) and only drops caused by a dead link survive.
-  void deliver_eager(int dst, std::unique_ptr<detail::Envelope> env);
+  /// The one post step of every send: charges the sender's CPU
+  /// overhead (+ copy when eager), builds the envelope, and makes the
+  /// eager-or-rendezvous choice. Eager payloads go to transmit();
+  /// rendezvous posts an RTS pointing at @p rndv and returns true (the
+  /// caller then awaits the handshake). @p rndv == nullptr forces the
+  /// eager shape (pipelined chunks); @p wire_not_before gates the
+  /// eager payload's wire start (0 = no gate).
+  bool post_send(BytesView data, int dst, int tag,
+                 detail::RndvHandshake* rndv, double wire_not_before);
 
-  /// ARQ delivery of an eager envelope (reliability enabled): resolves
-  /// retransmissions/backoff via the channel, suppresses duplicates,
-  /// stashes clean copies of damaged payloads for end-to-end NACK
-  /// recovery, and converts retry-budget exhaustion into a tombstone
-  /// plus a thrown reliable::PeerUnreachable.
-  void deliver_reliable(int dst, std::unique_ptr<detail::Envelope> env);
+  /// The one transmit step of every eager payload: reserves the route
+  /// (unless an engaged ARQ transport resolves the wire itself), then
+  /// either resolves the ARQ dialogue (retransmissions, damaged
+  /// delivery, dead-link tombstone + thrown reliable::PeerUnreachable)
+  /// or draws one unreliable fault (drop, corrupt, truncate,
+  /// duplicate, delay) before posting.
+  void transmit(int dst, std::unique_ptr<detail::Envelope> env);
 
-  /// Receiver-driven ARQ loop for the rendezvous pull: retries
-  /// dropped or truncated pulls with wait_for-based backoff timers,
-  /// delivers corrupted pulls damaged (stashing the clean bytes), and
-  /// throws reliable::PeerUnreachable on budget exhaustion.
-  Status complete_rndv_reliable(detail::PendingRecv& pr);
+  /// The one rendezvous pull: CTS, then the RDMA-style payload pull.
+  /// With ARQ on a faulted link, dropped or truncated pulls are
+  /// retried on wait_for-based timers, corrupted pulls are delivered
+  /// damaged (clean bytes stashed) and budget exhaustion throws
+  /// reliable::PeerUnreachable; without ARQ one fault draw that never
+  /// loses the payload. Releases the parked sender; returns the
+  /// delivered byte count.
+  std::size_t pull(detail::PendingRecv& pr);
 
-  /// recover_damaged_recv body (the public entry adds the ft guard).
-  bool recover_damaged_internal(MutBytes wire, int src, int tag);
+  /// Eager completion: sleeps to arrival, charges receiver costs,
+  /// copies the payload out (applying ARQ in-flight damage and
+  /// stashing the clean copy). Returns the delivered byte count.
+  std::size_t copy_out(detail::PendingRecv& pr);
+
+  /// Unparks a rendezvous sender: its buffer is free at
+  /// @p sender_complete.
+  void release_sender(detail::RndvHandshake& handshake,
+                      double sender_complete);
+
+  /// Arms this rank's ARQ retransmit stash for a payload delivered
+  /// damaged (end-to-end NACK recovery source) and returns its buffer,
+  /// which the caller fills with the clean copy: moved in from an
+  /// eager envelope, copied from a parked rendezvous sender's buffer.
+  Bytes& stash_clean(const detail::Envelope& env, std::uint64_t seq,
+                     std::uint32_t transmissions);
+
+  /// Parks this rank on @p w until @p ready() holds. Without the ft
+  /// layer the park is unbounded, or bounded by @p timeout (> 0)
+  /// virtual seconds — false when it expires. With the ft layer it
+  /// polls at the failure detector's granularity, failing fast on a
+  /// revoked epoch and calling @p check() before every wait; @p check
+  /// throws to fail the wait, or returns false to end it (park then
+  /// returns false).
+  template <typename Ready, typename Check>
+  bool park(sim::Waitable& w, const Ready& ready, const Check& check,
+            double timeout = 0.0);
 
   /// Sends with internal tags allowed (collectives).
   void send_internal(BytesView data, int dst, int tag);
   Request isend_internal(BytesView data, int dst, int tag);
   Request irecv_internal(MutBytes buf, int src, int tag);
 
-  /// Completes a bound receive: sleeps to arrival, charges receiver
-  /// costs, copies the payload (or executes the rendezvous pull).
+  /// Completes a bound receive: parks until matched, then copy_out()
+  /// or pull().
   Status complete_recv(detail::PendingRecv& pr);
 
   void sleep_until(double t);
@@ -194,8 +226,8 @@ class Comm final : public Communicator {
 
   /// True when the ARQ channel resolves wire reservations itself for
   /// traffic to world rank @p wd (clocked transport or routed path):
-  /// the send path must then skip its own reserve and let
-  /// deliver_reliable fill arrival/queue/relay from the Delivery.
+  /// transmit() must then skip its own reserve and fill
+  /// arrival/queue/relay from the Delivery.
   [[nodiscard]] bool arq_resolves_wire(int wd) const {
     return arq_ != nullptr && arq_->engaged(wrank(), wd);
   }

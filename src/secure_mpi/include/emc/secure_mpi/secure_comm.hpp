@@ -35,6 +35,10 @@ class LinkKeyring;
 
 namespace emc::secure {
 
+namespace detail {
+struct SecureRecvState;
+}  // namespace detail
+
 /// Authentication failure on received data (tampering or corruption).
 struct IntegrityError : std::runtime_error {
   explicit IntegrityError(const std::string& what)
@@ -304,25 +308,31 @@ class SecureComm final : public mpi::Communicator {
   }
 
  private:
-  /// nonce || ct || tag for @p pt, written at @p out (wire_size(pt)),
-  /// authenticating @p aad (empty unless context binding is on).
-  /// @p peer (comm-local, >= 0 for point-to-point traffic) selects the
-  /// keyring's per-link epoch key when a keyring is configured; -1
-  /// (collectives) always seals under the group key.
+  /// The one seal routine: nonce || ct || tag for @p pt, written at
+  /// @p out (wire_size(pt)), authenticating @p aad (empty unless
+  /// context binding is on). Spends the relay re-seal budget, draws
+  /// the nonce (keyring epoch key and rank||seq for keyring links —
+  /// @p peer, comm-local, >= 0 for point-to-point traffic; the group
+  /// key and next_nonce() otherwise, -1 for collectives), and counts
+  /// the seal. @p charged bills the seal on the rank's clock via
+  /// charged_crypto; pipelined chunks pass false and bill helper cores.
   void seal_into(BytesView pt, MutBytes out, BytesView aad = {},
-                 int peer = -1);
+                 int peer = -1, bool charged = true);
 
-  /// Inverse of seal_into; throws IntegrityError on tag failure.
-  /// @p wire is nonce||ct||tag; @p out receives wire.size()-28 bytes.
+  /// Inverse of seal_into for collective blocks; throws IntegrityError
+  /// on tag failure. @p wire is nonce||ct||tag of wire_size(out) bytes.
   void open_into(BytesView wire, MutBytes out, BytesView aad = {});
 
-  /// Non-throwing open: true and plaintext in @p out on success.
-  /// Charges crypto time; the caller accounts accepted messages. For
-  /// keyring links (@p peer >= 0), trial-opens the link's epoch
-  /// candidates (current, ahead up to max_skew, grace) — each trial is
-  /// one charged open — and reports the success to the keyring.
+  /// The one open routine. Non-throwing: true and plaintext in @p out
+  /// on success; the caller accounts accepted messages. For keyring
+  /// links (@p peer >= 0), trial-opens the link's epoch candidates
+  /// (current, ahead up to max_skew, grace) and reports the success
+  /// to the keyring; otherwise opens under the group key. When
+  /// @p charged every trial is one charged open; uncharged trials are
+  /// for pipelined chunks, whose time the helper cores bill.
   [[nodiscard]] bool try_open_into(BytesView wire, MutBytes out,
-                                   BytesView aad, int peer = -1);
+                                   BytesView aad, int peer = -1,
+                                   bool charged = true);
 
   /// True when @p peer's point-to-point traffic uses the keyring.
   [[nodiscard]] bool keyring_link(int peer) const noexcept;
@@ -336,44 +346,40 @@ class SecureComm final : public mpi::Communicator {
   /// keyring links (their per-link budget rotates online instead).
   void charge_relay_reseals(int peer);
 
-  /// Keyring seal setup for one message/chunk to @p peer: fetches the
-  /// epoch seal key (ratcheting in place on budget/interval triggers —
-  /// billed on the key_mgmt lane), writes the rank||seq nonce (the two
-  /// directions of a link share the epoch key; the rank prefix keeps
-  /// their nonce streams disjoint), returns the AEAD to seal under.
-  const crypto::AeadKey* keyring_seal(int peer,
-                                      std::uint8_t out[crypto::kGcmNonceBytes]);
+  /// One end-to-end NACK round for a received frame: true when, in
+  /// @p round 0, the reliability layer's stash proves the frame was
+  /// damaged on the wire — @p frame then holds the clean retransmitted
+  /// copy for the caller to decode again.
+  bool recover_frame(MutBytes frame, int src, int tag, int round);
 
-  /// Keyring open: trial-opens the link's epoch candidates (current,
-  /// ahead up to max_skew, grace) and reports a success to the
-  /// keyring. When @p charged, every trial is one charged open
-  /// (point-to-point path); uncharged trials are for pipelined chunks,
-  /// whose time the helper cores bill.
-  [[nodiscard]] bool keyring_open(int peer, BytesView wire, BytesView aad,
-                                  MutBytes out, bool charged);
+  /// Recover-or-fail for a received frame that failed decoding or
+  /// authentication: returns when recover_frame restored it, otherwise
+  /// zeroes @p wipe, counts the failure in @p counter and throws
+  /// IntegrityError(@p what).
+  void recover_or_fail(MutBytes frame, int src, int tag, int round,
+                       MutBytes wipe, std::uint64_t CryptoCounters::*counter,
+                       const char* what);
 
-  /// Validates a received wire length BEFORE any size arithmetic:
-  /// anything outside [kWireOverhead, wire_size(capacity)] throws
-  /// IntegrityError (counted in length_failures). Returns the
-  /// plaintext length.
-  std::size_t checked_pt_len(std::size_t wire_bytes, std::size_t capacity);
+  /// Completion of one received point-to-point message: decodes
+  /// @p frame (from @p src / @p tag), dispatches pipelined chunks to
+  /// open_pipelined, opens unchunked frames (with the sliding replay
+  /// window when configured) into @p user, and returns the plaintext
+  /// status. Returns std::nullopt when the frame was a benign fabric
+  /// duplicate — the caller must receive the next message.
+  std::optional<mpi::Status> open_message(MutBytes frame, int src, int tag,
+                                          MutBytes user);
 
-  /// Shared completion of a point-to-point receive: length check,
-  /// open (with the sliding replay window when configured), status
-  /// rewrite to plaintext size. Returns std::nullopt when the message
-  /// was a benign fabric duplicate absorbed by the window — the caller
-  /// must loop and receive the next message. When the reliability
-  /// layer is on, an authentication failure that the ARQ stash can
-  /// explain is NACKed and retransmitted in place (@p wire_buf is
-  /// rewritten with the clean copy) instead of thrown. When @p
-  /// became_chunked is non-null and an ARQ recovery reveals the clean
-  /// frame is actually a pipelined chunk (the damage had destroyed
-  /// the magic), it is set and std::nullopt returned so the caller
-  /// can re-dispatch to the chunked path.
-  std::optional<mpi::Status> open_p2p(MutBytes wire_buf,
-                                      const mpi::Status& wire_status,
-                                      MutBytes user,
-                                      bool* became_chunked = nullptr);
+  /// Seals a point-to-point payload for (@p dst, @p tag), binding the
+  /// channel context when configured.
+  void seal_p2p(BytesView data, MutBytes wire, int dst, int tag);
+
+  /// The two halves of every encrypted receive (recv is post + finish
+  /// with the state on the stack; irecv/wait split them): post the
+  /// inner receive into a wire buffer sized for any frame, then wait,
+  /// open, and re-post after absorbed duplicates.
+  void post_recv(detail::SecureRecvState& state, MutBytes buf, int src,
+                 int tag);
+  mpi::Status finish_recv(detail::SecureRecvState& state);
 
   // ------------------------------------------------- chunked pipeline
   // (docs/PIPELINE.md; all billing below is analytic — helper cores
@@ -411,28 +417,24 @@ class SecureComm final : public mpi::Communicator {
   /// each frame with its seal-completion wire gate.
   void send_pipelined(BytesView data, int dst, int tag);
 
-  /// Dispatches one received frame: pipelined chunk frames (magic +
-  /// consistent header) go to open_pipelined, everything else to
-  /// open_p2p; an ARQ recovery that flips the classification
-  /// re-dispatches. Same nullopt contract as open_p2p.
-  std::optional<mpi::Status> open_any(MutBytes wire_buf,
-                                      const mpi::Status& wire_status,
-                                      MutBytes user);
-
   /// Receiver side of the pipeline, entered with the first chunk
-  /// frame of a message already received: receives the remaining
-  /// frames, opens every chunk on helper cores while later chunks are
-  /// still on the wire, reassembles into @p user, and stalls only for
-  /// crypto the wire did not hide. Returns std::nullopt when the
-  /// frame was a stale duplicate of an already-delivered message.
-  std::optional<mpi::Status> open_pipelined(MutBytes first_frame,
-                                            const mpi::Status& wire_status,
-                                            MutBytes user);
+  /// frame (header @p first) of a message already received and
+  /// decoded: receives the remaining frames, opens every chunk on
+  /// helper cores while later chunks are still on the wire,
+  /// reassembles into @p user, and stalls only for crypto the wire did
+  /// not hide. open_message has already absorbed stale frames of
+  /// delivered messages.
+  mpi::Status open_pipelined(MutBytes frame, const PipeChunkHeader& first,
+                             int src, int tag, MutBytes user);
 
-  /// Context AAD helpers (replay-protection extension). The 28-byte
-  /// AAD layout is src(4) || dst(4) || tag(4) || kind(8) || seq(8).
+  /// Context AAD helpers (replay-protection extension). The 24-byte
+  /// AAD layout is src(4) || dst(4) || tag(4) || kind(4) || seq(8);
+  /// both return an empty AAD when context binding is off.
   [[nodiscard]] Bytes p2p_aad(int src, int dst, int tag,
                               std::uint64_t seq) const;
+  /// Collective block AAD: origin, destination (-1 = broadcast to
+  /// all), the per-communicator collective sequence number.
+  [[nodiscard]] Bytes coll_aad(int src, int dst, std::uint64_t seq) const;
   /// Next sequence number for the (peer, tag) send channel.
   [[nodiscard]] std::uint64_t next_send_seq(int dst, int tag);
 
@@ -444,6 +446,14 @@ class SecureComm final : public mpi::Communicator {
   /// measured host seconds.
   double charged_crypto(const std::function<void()>& work, std::size_t bytes,
                         bool encrypt);
+
+  /// Analytic virtual seconds of one seal (@p encrypt) or open of
+  /// @p bytes plaintext under the configured cost_model.
+  [[nodiscard]] double model_cost(std::size_t bytes, bool encrypt) const;
+
+  /// Advances the rank's clock by @p cost and records it as a
+  /// crypto_encrypt / crypto_decrypt trace span.
+  void bill_on_rank(double cost, std::size_t bytes, bool encrypt);
 
   void next_nonce(std::uint8_t out[crypto::kGcmNonceBytes]);
 

@@ -11,6 +11,22 @@
 
 namespace emc::secure {
 
+namespace detail {
+
+/// Request state for an encrypted receive: the ciphertext lands in
+/// `wire`; decryption into `user` happens at completion. `src`/`tag`
+/// are kept so completion can re-post the inner receive after
+/// absorbing a benign fabric duplicate.
+struct SecureRecvState final : mpi::detail::RequestState {
+  Bytes wire;
+  MutBytes user;
+  int src = mpi::kAnySource;
+  int tag = mpi::kAnyTag;
+  mpi::Request inner;
+};
+
+}  // namespace detail
+
 namespace {
 
 using crypto::kGcmNonceBytes;
@@ -24,18 +40,6 @@ struct SecureSendState final : mpi::detail::RequestState {
   mpi::Request inner;
 };
 
-/// Request state for a non-blocking encrypted receive: the ciphertext
-/// lands in `wire`; decryption into `user` happens inside wait().
-/// `src`/`tag` are kept so wait() can re-post the inner receive after
-/// absorbing a benign fabric duplicate.
-struct SecureRecvState final : mpi::detail::RequestState {
-  Bytes wire;
-  MutBytes user;
-  int src = mpi::kAnySource;
-  int tag = mpi::kAnyTag;
-  mpi::Request inner;
-};
-
 /// Request state for a non-blocking pipelined send. Every chunk was
 /// already dispatched in isend (send_chunk never blocks — the sender
 /// only pays per-chunk CPU overhead), so the request is born complete
@@ -44,23 +48,46 @@ struct SecurePipeSendState final : mpi::detail::RequestState {
   mpi::Status status;
 };
 
-/// A received frame is a pipelined chunk when it is long enough to
-/// hold the chunk header plus a minimal AEAD frame and leads with the
-/// magic (see kPipeMagic's collision analysis in pipeline.hpp).
-bool looks_like_chunk(BytesView frame) {
-  return frame.size() >= kPipeHeaderBytes + kWireOverhead &&
-         load_be32(frame.data()) == kPipeMagic;
-}
+/// A received point-to-point frame, classified and bounds-checked.
+struct Frame {
+  enum class Kind {
+    kSealed,     ///< nonce || ct || tag that fits the receive capacity
+    kChunk,      ///< chunk header || nonce || ct || tag, header consistent
+    kBadChunk,   ///< chunk magic, header inconsistent with length/capacity
+    kBadLength,  ///< unchunked, outside [kWireOverhead, wire_size(capacity)]
+  };
+  Kind kind = Kind::kBadLength;
+  PipeChunkHeader chunk;  ///< decoded header (both chunk kinds)
 
-/// Pre-authentication header sanity: pure bounds checks against the
-/// frame length and the receive capacity. Field integrity is enforced
-/// later — the header is the AAD prefix of its chunk, so any tampered
-/// field fails the tag.
-bool pipe_header_plausible(const PipeChunkHeader& h, std::size_t frame_bytes,
-                           std::size_t capacity) {
-  return h.count >= 1 && h.index < h.count && h.offset <= capacity &&
-         h.chunk_len <= capacity - h.offset &&
-         frame_bytes == kPipeHeaderBytes + SecureComm::wire_size(h.chunk_len);
+  [[nodiscard]] bool chunk_like() const {
+    return kind == Kind::kChunk || kind == Kind::kBadChunk;
+  }
+};
+
+/// The one frame decoder: every received point-to-point frame passes
+/// through here before any crypto runs or any size arithmetic touches
+/// it. A frame is a pipelined chunk when it can hold the chunk header
+/// plus a minimal AEAD frame and leads with the magic (see kPipeMagic's
+/// collision analysis in pipeline.hpp); its header must then fit the
+/// frame length and the receive capacity. Pure bounds checks: field
+/// integrity is enforced later — the header is the AAD prefix of its
+/// chunk, so any tampered field fails the tag.
+Frame decode(BytesView frame, std::size_t capacity) {
+  Frame f;
+  if (frame.size() >= kPipeHeaderBytes + kWireOverhead &&
+      load_be32(frame.data()) == kPipeMagic) {
+    f.chunk = load_pipe_header(frame.data());
+    const PipeChunkHeader& h = f.chunk;
+    const bool fits =
+        h.count >= 1 && h.index < h.count && h.offset <= capacity &&
+        h.chunk_len <= capacity - h.offset &&
+        frame.size() == kPipeHeaderBytes + SecureComm::wire_size(h.chunk_len);
+    f.kind = fits ? Frame::Kind::kChunk : Frame::Kind::kBadChunk;
+  } else if (frame.size() >= kWireOverhead &&
+             frame.size() <= SecureComm::wire_size(capacity)) {
+    f.kind = Frame::Kind::kSealed;
+  }
+  return f;
 }
 
 }  // namespace
@@ -118,8 +145,6 @@ SecureComm::SecureComm(mpi::Comm& comm, const SecureConfig& config)
 
 double SecureComm::charged_crypto(const std::function<void()>& work,
                                   std::size_t bytes, bool encrypt) {
-  const auto category = encrypt ? trace::Category::kCryptoEncrypt
-                                : trace::Category::kCryptoDecrypt;
   if (!config_.charge_crypto) {
     // EMC_LINT_ALLOW(det-clock): measurement-mode only — the host
     // seconds feed BENCH JSON metrics, never the virtual timeline.
@@ -136,91 +161,42 @@ double SecureComm::charged_crypto(const std::function<void()>& work,
     WallTimer timer;
     work();
     const double elapsed = timer.seconds();
-    const CryptoCostModel& m = *config_.cost_model;
-    const double cost =
-        encrypt ? m.seal_per_op + static_cast<double>(bytes) * m.seal_per_byte
-                : m.open_per_op + static_cast<double>(bytes) * m.open_per_byte;
-    sim::Process& proc = comm_->process();
-    const double begin = proc.now();
-    proc.advance(cost);
-    if (trace::TraceRecorder* rec = comm_->world().trace()) {
-      // Trace rows are world-rank-indexed; on a shrunken communicator
-      // the local rank() no longer names the right row.
-      rec->record(proc.index(), category, begin, proc.now(), -1, bytes);
-    }
+    bill_on_rank(model_cost(bytes, encrypt), bytes, encrypt);
     return elapsed;
   }
   // Wall-clock billing: the engine charge observer records the span;
   // retag it from the default kCompute before charging.
   if (trace::TraceRecorder* rec = comm_->world().trace()) {
-    rec->set_charge_category(comm_->process().index(), category);
+    rec->set_charge_category(comm_->process().index(),
+                             encrypt ? trace::Category::kCryptoEncrypt
+                                     : trace::Category::kCryptoDecrypt);
   }
   return comm_->process().charge(work);
 }
 
+double SecureComm::model_cost(std::size_t bytes, bool encrypt) const {
+  const CryptoCostModel& m = *config_.cost_model;
+  return encrypt
+             ? m.seal_per_op + static_cast<double>(bytes) * m.seal_per_byte
+             : m.open_per_op + static_cast<double>(bytes) * m.open_per_byte;
+}
+
+void SecureComm::bill_on_rank(double cost, std::size_t bytes, bool encrypt) {
+  sim::Process& proc = comm_->process();
+  const double begin = proc.now();
+  proc.advance(cost);
+  if (trace::TraceRecorder* rec = comm_->world().trace()) {
+    // Trace rows are world-rank-indexed; on a shrunken communicator
+    // the local rank() no longer names the right row.
+    rec->record(proc.index(),
+                encrypt ? trace::Category::kCryptoEncrypt
+                        : trace::Category::kCryptoDecrypt,
+                begin, proc.now(), -1, bytes);
+  }
+}
+
 bool SecureComm::keyring_link(int peer) const noexcept {
   return config_.keyring != nullptr && peer >= 0;
-}
-
-const crypto::AeadKey* SecureComm::keyring_seal(
-    int peer, std::uint8_t out[kGcmNonceBytes]) {
-  keys::LinkKeyring& ring = *config_.keyring;
-  const int link = comm_->to_world(peer);
-  const keys::LinkKeyring::SealKey sk =
-      ring.seal_key(link, comm_->now(), config_.nonce_rekey_threshold);
-  if (sk.ratcheted) {
-    // The epoch advanced in place — traffic continues under the next
-    // chain key instead of stopping on NonceExhaustedError. Bill the
-    // chain step analytically on the key_mgmt lane.
-    ++counters_.link_ratchets;
-    sim::Process& proc = comm_->process();
-    const double begin = proc.now();
-    proc.advance(ring.ratchet().step_cost);
-    if (trace::TraceRecorder* rec = comm_->world().trace()) {
-      rec->record(proc.index(), trace::Category::kKeyMgmt, begin, proc.now(),
-                  link);
-    }
-  }
-  // Both endpoints seal under the same epoch key; the sender's world
-  // rank prefixes the per-epoch sequence so the two directions' nonce
-  // streams can never collide.
-  store_be32(out, static_cast<std::uint32_t>(comm_->to_world(rank())));
-  store_be64(out + 4, sk.seq);
-  return sk.aead;
-}
-
-bool SecureComm::keyring_open(int peer, BytesView wire, BytesView aad,
-                              MutBytes out, bool charged) {
-  keys::LinkKeyring& ring = *config_.keyring;
-  const int link = comm_->to_world(peer);
-  std::vector<keys::LinkKeyring::OpenCandidate> cands;
-  ring.open_candidates(link, comm_->now(), cands);
-  for (const auto& cand : cands) {
-    bool ok = false;
-    const auto trial = [&] {
-      ok = cand.aead->open(wire.first(kGcmNonceBytes), aad,
-                           wire.subspan(kGcmNonceBytes), out);
-    };
-    if (charged) {
-      counters_.open_seconds +=
-          charged_crypto(trial, out.size(), /*encrypt=*/false);
-    } else {
-      trial();  // pipelined chunk: the helper core bills the time
-    }
-    if (!ok) continue;
-    switch (ring.note_open(link, cand.epoch, comm_->now())) {
-      case keys::LinkKeyring::OpenKind::kGrace:
-        ++counters_.grace_opens;
-        break;
-      case keys::LinkKeyring::OpenKind::kCatchup:
-        ++counters_.catchup_opens;
-        break;
-      case keys::LinkKeyring::OpenKind::kCurrent:
-        break;
-    }
-    return true;
-  }
-  return false;
 }
 
 void SecureComm::next_nonce(std::uint8_t out[kGcmNonceBytes]) {
@@ -287,6 +263,7 @@ void SecureComm::rekey(BytesView new_key) {
 
 Bytes SecureComm::p2p_aad(int src, int dst, int tag,
                           std::uint64_t seq) const {
+  if (!config_.bind_context) return {};
   Bytes aad(24);
   store_be32(aad.data(), static_cast<std::uint32_t>(src));
   store_be32(aad.data() + 4, static_cast<std::uint32_t>(dst));
@@ -296,10 +273,8 @@ Bytes SecureComm::p2p_aad(int src, int dst, int tag,
   return aad;
 }
 
-namespace {
-/// AAD for a collective block: origin, destination (-1 = broadcast to
-/// all), the per-communicator collective sequence number.
-Bytes coll_aad(int src, int dst, std::uint64_t seq) {
+Bytes SecureComm::coll_aad(int src, int dst, std::uint64_t seq) const {
+  if (!config_.bind_context) return {};
   Bytes aad(24);
   store_be32(aad.data(), static_cast<std::uint32_t>(src));
   store_be32(aad.data() + 4, static_cast<std::uint32_t>(dst));
@@ -308,60 +283,105 @@ Bytes coll_aad(int src, int dst, std::uint64_t seq) {
   store_be64(aad.data() + 16, seq);
   return aad;
 }
-}  // namespace
 
 std::uint64_t SecureComm::next_send_seq(int dst, int tag) {
   return send_seq_[{dst, tag}]++;
 }
 
 void SecureComm::seal_into(BytesView pt, MutBytes out, BytesView aad,
-                           int peer) {
+                           int peer, bool charged) {
   if (out.size() != wire_size(pt.size())) {
     throw std::invalid_argument("seal_into: wire buffer size mismatch");
   }
   charge_relay_reseals(peer);
-  // Keyring links seal under the link's per-epoch key (ratchet + seq
-  // fetched before the charged region so ratchet billing lands on the
-  // key_mgmt lane, not inside the seal span).
-  const crypto::AeadKey* aead =
-      keyring_link(peer) ? keyring_seal(peer, out.data()) : nullptr;
-  const double elapsed = charged_crypto(
-      [&] {
-        if (aead == nullptr) {
-          next_nonce(out.data());
-          aead = key_.get();
-        }
-        aead->seal(BytesView(out.data(), kGcmNonceBytes), aad, pt,
-                   out.subspan(kGcmNonceBytes));
-      },
-      pt.size(), /*encrypt=*/true);
+  const crypto::AeadKey* aead = nullptr;
+  if (keyring_link(peer)) {
+    // Keyring links seal under the link's per-epoch key, fetched before
+    // the charged region so ratchet billing lands on the key_mgmt lane,
+    // not inside the seal span.
+    keys::LinkKeyring& ring = *config_.keyring;
+    const int link = comm_->to_world(peer);
+    const keys::LinkKeyring::SealKey sk =
+        ring.seal_key(link, comm_->now(), config_.nonce_rekey_threshold);
+    if (sk.ratcheted) {
+      // The epoch advanced in place — traffic continues under the next
+      // chain key instead of stopping on NonceExhaustedError. Bill the
+      // chain step analytically on the key_mgmt lane.
+      ++counters_.link_ratchets;
+      sim::Process& proc = comm_->process();
+      const double begin = proc.now();
+      proc.advance(ring.ratchet().step_cost);
+      if (trace::TraceRecorder* rec = comm_->world().trace()) {
+        rec->record(proc.index(), trace::Category::kKeyMgmt, begin,
+                    proc.now(), link);
+      }
+    }
+    // Both endpoints seal under the same epoch key; the sender's world
+    // rank prefixes the per-epoch sequence so the two directions'
+    // nonce streams can never collide.
+    store_be32(out.data(), static_cast<std::uint32_t>(comm_->to_world(rank())));
+    store_be64(out.data() + 4, sk.seq);
+    aead = sk.aead;
+  }
+  const auto seal = [&] {
+    if (aead == nullptr) {
+      next_nonce(out.data());
+      aead = key_.get();
+    }
+    aead->seal(BytesView(out.data(), kGcmNonceBytes), aad, pt,
+               out.subspan(kGcmNonceBytes));
+  };
+  if (charged) {
+    counters_.seal_seconds += charged_crypto(seal, pt.size(), /*encrypt=*/true);
+  } else {
+    seal();  // pipelined chunk: the helper core bills the time
+  }
   ++counters_.messages_sealed;
   counters_.bytes_sealed += pt.size();
-  counters_.seal_seconds += elapsed;
 }
 
 bool SecureComm::try_open_into(BytesView wire, MutBytes out, BytesView aad,
-                               int peer) {
-  if (keyring_link(peer)) {
-    return keyring_open(peer, wire, aad, out, /*charged=*/true);
+                               int peer, bool charged) {
+  // Keyring links trial-open the link's epoch candidates (current,
+  // ahead up to max_skew, grace) and report a success to the keyring;
+  // everything else has the one group-key candidate.
+  const bool ring = keyring_link(peer);
+  const int link = comm_->to_world(peer);
+  std::vector<keys::LinkKeyring::OpenCandidate> cands;
+  if (ring) config_.keyring->open_candidates(link, comm_->now(), cands);
+  const std::size_t n = ring ? cands.size() : 1;
+  for (std::size_t i = 0; i < n; ++i) {
+    const crypto::AeadKey* aead = ring ? cands[i].aead : key_.get();
+    bool ok = false;
+    const auto trial = [&] {
+      ok = aead->open(wire.first(kGcmNonceBytes), aad,
+                      wire.subspan(kGcmNonceBytes), out);
+    };
+    if (charged) {
+      counters_.open_seconds +=
+          charged_crypto(trial, out.size(), /*encrypt=*/false);
+    } else {
+      trial();  // pipelined chunk: the helper core bills the time
+    }
+    if (!ok) continue;
+    if (!ring) return true;
+    switch (config_.keyring->note_open(link, cands[i].epoch, comm_->now())) {
+      case keys::LinkKeyring::OpenKind::kGrace:
+        ++counters_.grace_opens;
+        break;
+      case keys::LinkKeyring::OpenKind::kCatchup:
+        ++counters_.catchup_opens;
+        break;
+      case keys::LinkKeyring::OpenKind::kCurrent:
+        break;
+    }
+    return true;
   }
-  bool ok = false;
-  const double elapsed = charged_crypto(
-      [&] {
-        ok = key_->open(wire.first(kGcmNonceBytes), aad,
-                        wire.subspan(kGcmNonceBytes), out);
-      },
-      out.size(), /*encrypt=*/false);
-  counters_.open_seconds += elapsed;
-  return ok;
+  return false;
 }
 
 void SecureComm::open_into(BytesView wire, MutBytes out, BytesView aad) {
-  if (wire.size() < kWireOverhead) {
-    ++counters_.length_failures;
-    throw IntegrityError("received message shorter than nonce+tag framing");
-  }
-  if (out.size() != wire.size() - kWireOverhead) {
+  if (wire.size() != wire_size(out.size())) {
     throw std::invalid_argument("open_into: plaintext buffer size mismatch");
   }
   if (!try_open_into(wire, out, aad)) {
@@ -375,69 +395,87 @@ void SecureComm::open_into(BytesView wire, MutBytes out, BytesView aad) {
   counters_.bytes_opened += out.size();
 }
 
-std::size_t SecureComm::checked_pt_len(std::size_t wire_bytes,
-                                       std::size_t capacity) {
-  if (wire_bytes < kWireOverhead || wire_bytes > wire_size(capacity)) {
-    ++counters_.length_failures;
-    throw IntegrityError(
-        "wire message of " + std::to_string(wire_bytes) +
-        " bytes outside the valid [" + std::to_string(kWireOverhead) + ", " +
-        std::to_string(wire_size(capacity)) +
-        "] range for this receive: truncated or oversized in transit (rank " +
-        std::to_string(rank()) + ")");
+bool SecureComm::recover_frame(MutBytes frame, int src, int tag, int round) {
+  // One end-to-end NACK round per frame: if the ARQ stash can prove
+  // the damage happened on the wire, the clean copy is retransmitted
+  // into `frame` and the caller decodes it again.
+  if (round != 0 || !comm_->recover_damaged_recv(frame, src, tag)) {
+    return false;
   }
-  return wire_bytes - kWireOverhead;
+  ++counters_.nacks_sent;
+  ++counters_.retransmits_recovered;
+  return true;
 }
 
-std::optional<mpi::Status> SecureComm::open_p2p(
-    MutBytes wire_buf, const mpi::Status& wire_status, MutBytes user,
-    bool* became_chunked) {
-  const std::size_t pt_len = checked_pt_len(wire_status.bytes, user.size());
-  const MutBytes wire = wire_buf.first(wire_status.bytes);
-  const MutBytes out = user.first(pt_len);
-  const mpi::Status status{wire_status.source, wire_status.tag, pt_len};
-  const int src = wire_status.source;
-  const int tag = wire_status.tag;
+void SecureComm::recover_or_fail(MutBytes frame, int src, int tag, int round,
+                                 MutBytes wipe,
+                                 std::uint64_t CryptoCounters::*counter,
+                                 const char* what) {
+  // A second failure — or any failure the stash cannot explain — is
+  // final.
+  if (recover_frame(frame, src, tag, round)) return;
+  secure_zero(wipe);  // never leak a partially verified message
+  ++(counters_.*counter);
+  throw IntegrityError(std::string(what) + " (rank " + std::to_string(rank()) +
+                       ")");
+}
 
-  // Up to two authentication rounds: if the first fails and the ARQ
-  // stash can prove the damage happened on the wire, the clean copy is
-  // NACKed back in (recover_damaged_recv rewrites `wire`) and
-  // authentication runs once more. A second failure — or any failure
-  // the stash cannot explain — is a genuine integrity error.
+std::optional<mpi::Status> SecureComm::open_message(MutBytes frame, int src,
+                                                    int tag, MutBytes user) {
   for (int round = 0;; ++round) {
-    if (!config_.bind_context) {
-      if (try_open_into(wire, out, {}, src)) {
-        ++counters_.messages_opened;
-        counters_.bytes_opened += out.size();
-        return status;
+    const Frame f = decode(frame, user.size());
+    if (f.kind == Frame::Kind::kChunk) {
+      if (f.chunk.msg_id >= pipe_recv_next_[{src, tag}]) {
+        return open_pipelined(frame, f.chunk, src, tag, user);
       }
-    } else {
-      // The channel counter advances only when a message
-      // authenticates, so damaged traffic cannot desynchronize honest
-      // traffic behind it. With a replay window, sequence numbers
-      // slightly ahead (dropped predecessors) still authenticate, and
-      // numbers behind are trial-checked to separate benign fabric
-      // duplicates from replay attacks.
-      std::uint64_t& expected = recv_seq_[{src, tag}];
+      // An id below the channel's next pipelined message: wire damage
+      // to the id field when the ARQ stash can prove it, otherwise a
+      // stale frame of a delivered message (a fabric duplicate
+      // straggling in behind completion), absorbed without crypto.
+      if (recover_frame(frame, src, tag, round)) continue;
+      ++counters_.duplicates_suppressed;
+      return std::nullopt;
+    }
+    if (f.kind == Frame::Kind::kBadLength) {
+      ++counters_.length_failures;
+      throw IntegrityError(
+          "wire message of " + std::to_string(frame.size()) +
+          " bytes outside the valid [" + std::to_string(kWireOverhead) +
+          ", " + std::to_string(wire_size(user.size())) +
+          "] range for this receive: truncated or oversized in transit "
+          "(rank " +
+          std::to_string(rank()) + ")");
+    }
+    if (f.kind == Frame::Kind::kSealed) {
+      const MutBytes out = user.first(frame.size() - kWireOverhead);
+      // With context binding the channel counter advances only when a
+      // message authenticates, so damaged traffic cannot desynchronize
+      // honest traffic behind it. With a replay window, sequence
+      // numbers slightly ahead (dropped predecessors) still
+      // authenticate, and numbers behind are trial-checked to separate
+      // benign fabric duplicates from replay attacks. Unbound traffic
+      // authenticates an empty context exactly once.
+      std::uint64_t unbound = 0;
+      std::uint64_t& expected =
+          config_.bind_context ? recv_seq_[{src, tag}] : unbound;
       const std::uint64_t ahead =
           config_.replay_window > 0 ? config_.replay_window : 1;
       for (std::uint64_t k = 0; k < ahead; ++k) {
-        if (try_open_into(wire, out, p2p_aad(src, rank(), tag, expected + k),
+        if (try_open_into(frame, out, p2p_aad(src, rank(), tag, expected + k),
                           src)) {
           expected += k + 1;
           ++counters_.messages_opened;
           counters_.bytes_opened += out.size();
-          return status;
+          return mpi::Status{src, tag, out.size()};
         }
       }
       for (std::uint64_t back = 1;
            back <= config_.replay_window && back <= expected; ++back) {
-        if (try_open_into(wire, out, p2p_aad(src, rank(), tag, expected - back),
-                          src)) {
+        if (try_open_into(frame, out,
+                          p2p_aad(src, rank(), tag, expected - back), src)) {
           secure_zero(out);  // never hand a repeated plaintext to the caller
           const std::uint64_t seq = expected - back;
-          const std::uint32_t copies = ++extra_copies_[{src, tag, seq}];
-          if (copies == 1) {
+          if (++extra_copies_[{src, tag, seq}] == 1) {
             // First extra copy: the fabric duplicated the frame. Absorb
             // it silently; the caller loops for the next real message.
             ++counters_.duplicates_suppressed;
@@ -453,23 +491,17 @@ std::optional<mpi::Status> SecureComm::open_p2p(
         }
       }
     }
-    if (round == 0 && comm_->recover_damaged_recv(wire, src, tag)) {
-      ++counters_.nacks_sent;
-      ++counters_.retransmits_recovered;
-      if (became_chunked != nullptr && looks_like_chunk(wire)) {
-        // The wire damage had destroyed the chunk magic: the clean
-        // retransmitted frame is a pipelined chunk. Hand it back for
-        // re-dispatch instead of authenticating it as a whole message.
-        *became_chunked = true;
-        return std::nullopt;
-      }
-      continue;
-    }
-    ++counters_.auth_failures;
-    throw IntegrityError(
-        "authentication tag mismatch: message was tampered with, corrupted, "
-        "or spliced from another channel (rank " +
-        std::to_string(rank()) + ")");
+    // A recovered frame is decoded afresh: the wire damage may have
+    // destroyed (or forged) the chunk magic.
+    const bool sealed = f.kind == Frame::Kind::kSealed;
+    recover_or_fail(
+        frame, src, tag, round, {},
+        sealed ? &CryptoCounters::auth_failures
+               : &CryptoCounters::length_failures,
+        sealed ? "authentication tag mismatch: message was tampered with, "
+                 "corrupted, or spliced from another channel"
+               : "pipelined chunk header inconsistent with its frame length: "
+                 "truncated, corrupted, or forged in transit");
   }
 }
 
@@ -490,20 +522,11 @@ double SecureComm::helper_crypto(std::size_t bytes, bool encrypt) {
     // the determinism of src/secure_mpi — see docs/PIPELINE.md).
     return proc.now();
   }
-  const CryptoCostModel& m = *config_.cost_model;
-  const double cost =
-      encrypt ? m.seal_per_op + static_cast<double>(bytes) * m.seal_per_byte
-              : m.open_per_op + static_cast<double>(bytes) * m.open_per_byte;
+  const double cost = model_cost(bytes, encrypt);
   if (helper_free_.empty()) {
     // helper_cores == 0: chunk framing without overlap — the chunk's
     // crypto is billed serially on the rank itself.
-    const auto category = encrypt ? trace::Category::kCryptoEncrypt
-                                  : trace::Category::kCryptoDecrypt;
-    const double begin = proc.now();
-    proc.advance(cost);
-    if (trace::TraceRecorder* rec = comm_->world().trace()) {
-      rec->record(proc.index(), category, begin, proc.now(), -1, bytes);
-    }
+    bill_on_rank(cost, bytes, encrypt);
     return proc.now();
   }
   // Earliest-free core wins, lowest index on ties: a pure function of
@@ -530,19 +553,8 @@ double SecureComm::seal_chunk(BytesView pt, MutBytes out, BytesView aad,
                               int peer) {
   // No host-time measurement on this path (seal_seconds stays a
   // main-clock wall measurement; helper billing is purely analytic).
-  charge_relay_reseals(peer);
-  const crypto::AeadKey* aead;
-  if (keyring_link(peer)) {
-    aead = keyring_seal(peer, out.data());
-  } else {
-    next_nonce(out.data());
-    aead = key_.get();
-  }
-  aead->seal(BytesView(out.data(), kGcmNonceBytes), aad, pt,
-             out.subspan(kGcmNonceBytes));
-  ++counters_.messages_sealed;
+  seal_into(pt, out, aad, peer, /*charged=*/false);
   ++counters_.chunks_sealed;
-  counters_.bytes_sealed += pt.size();
   return helper_crypto(pt.size(), /*encrypt=*/true);
 }
 
@@ -586,85 +598,56 @@ void SecureComm::send_pipelined(BytesView data, int dst, int tag) {
   }
 }
 
-std::optional<mpi::Status> SecureComm::open_any(
-    MutBytes wire_buf, const mpi::Status& wire_status, MutBytes user) {
-  for (int round = 0;; ++round) {
-    const MutBytes frame = wire_buf.first(wire_status.bytes);
-    if (looks_like_chunk(frame)) {
-      const PipeChunkHeader h = load_pipe_header(frame.data());
-      if (pipe_header_plausible(h, frame.size(), user.size())) {
-        return open_pipelined(frame, wire_status, user);
-      }
-      // Chunk-looking but inconsistent with its own length: wire
-      // damage (one ARQ recovery try) or a forgery.
-      if (round == 0 &&
-          comm_->recover_damaged_recv(frame, wire_status.source,
-                                      wire_status.tag)) {
-        ++counters_.nacks_sent;
-        ++counters_.retransmits_recovered;
-        continue;  // re-classify the clean retransmitted copy
-      }
-      ++counters_.length_failures;
-      throw IntegrityError(
-          "pipelined chunk header inconsistent with its frame length: "
-          "truncated, corrupted, or forged in transit (rank " +
-          std::to_string(rank()) + ")");
-    }
-    bool became_chunked = false;
-    const auto status = open_p2p(wire_buf, wire_status, user,
-                                 &became_chunked);
-    if (!became_chunked) return status;
-    // open_p2p's ARQ recovery revealed a chunk frame (the damage had
-    // destroyed the magic); loop to dispatch the clean copy. The
-    // stash is consumed, so this cannot recurse.
-  }
-}
-
-std::optional<mpi::Status> SecureComm::open_pipelined(
-    MutBytes first_frame, const mpi::Status& wire_status, MutBytes user) {
-  const int src = wire_status.source;
-  const int tag = wire_status.tag;
-  const PipeChunkHeader first = load_pipe_header(first_frame.data());
-  std::uint64_t& next_id = pipe_recv_next_[{src, tag}];
-  if (first.msg_id < next_id) {
-    // Stale frame of an already-delivered message (a fabric duplicate
-    // straggling in behind completion): absorb without crypto.
-    ++counters_.duplicates_suppressed;
-    return std::nullopt;
-  }
+mpi::Status SecureComm::open_pipelined(MutBytes frame,
+                                       const PipeChunkHeader& first, int src,
+                                       int tag, MutBytes user) {
   const std::uint64_t msg_id = first.msg_id;
   const std::uint32_t count = first.count;
-  const std::size_t cap = user.size();
   const bool bind = config_.bind_context;
   // Chunk k authenticates channel sequence base + k — the sender drew
   // count consecutive numbers; the channel advances only on delivery.
   const std::uint64_t base = bind ? recv_seq_[{src, tag}] : 0;
 
   sim::Process& proc = comm_->process();
-  std::vector<std::uint8_t> have(count, 0);
-  std::vector<std::uint8_t> extra(count, 0);
+  std::vector<std::uint8_t> copies(count, 0);  ///< copies seen per chunk
   std::uint32_t have_n = 0;
   std::size_t bytes_accepted = 0;
   std::size_t total_len = 0;  ///< offset+len of chunk count-1
   double crypto_done = proc.now();
   Bytes aad(bind ? kPipeHeaderBytes + 24 : kPipeHeaderBytes);
+  Bytes wire;
 
-  // Validates, deduplicates, authenticates, and places one frame;
-  // loops over the single allowed ARQ recovery round exactly like
-  // open_p2p (a recovery may change the header, so it re-parses).
-  auto accept_chunk = [&](MutBytes frame) {
+  for (bool first_frame = true;; first_frame = false) {
+    // Decodes, deduplicates, authenticates, and places one frame, with
+    // the single allowed ARQ recovery round per frame (a recovery may
+    // change the header, so it decodes again).
     for (int round = 0;; ++round) {
-      const PipeChunkHeader h = load_pipe_header(frame.data());
-      const bool frame_ok = h.msg_id == msg_id && h.count == count &&
-                            pipe_header_plausible(h, frame.size(), cap);
-      if (frame_ok && have[h.index] != 0) {
-        // Another copy of an accepted chunk. The first extra copy is
-        // a benign fabric duplicate, absorbed without crypto (the
-        // frame carries nothing the message still needs); the second
-        // is classified as a replay attack, like open_p2p's window.
-        if (extra[h.index]++ == 0) {
+      const Frame f = decode(frame, user.size());
+      const PipeChunkHeader& h = f.chunk;
+      const bool frame_ok = f.kind == Frame::Kind::kChunk &&
+                            h.msg_id == msg_id && h.count == count;
+      // Two verdicts are reached without crypto: a stale frame of an
+      // older message arriving mid-stream, and another copy of an
+      // accepted chunk. Wire damage to the header can fake either, so
+      // the ARQ stash is asked first. The stale test never applies to
+      // the first frame: msg_id was read from its header, which may be
+      // the very damage a recovery just undid — a recovered first
+      // frame that no longer matches fails closed below.
+      const bool stale = !first_frame && f.chunk_like() && h.msg_id < msg_id;
+      const bool again = frame_ok && copies[h.index] != 0;
+      if ((stale || again) && recover_frame(frame, src, tag, round)) continue;
+      if (stale) {
+        ++counters_.duplicates_suppressed;
+        break;
+      }
+      if (again) {
+        // The first extra copy is a benign fabric duplicate, absorbed
+        // without crypto (the frame carries nothing the message still
+        // needs); the second is classified as a replay attack, like the
+        // unchunked window.
+        if (copies[h.index]++ == 1) {
           ++counters_.duplicates_suppressed;
-          return;
+          break;
         }
         secure_zero(user);
         ++counters_.replays_rejected;
@@ -681,81 +664,41 @@ std::optional<mpi::Status> SecureComm::open_pipelined(
           const Bytes ctx = p2p_aad(src, rank(), tag, base + h.index);
           std::memcpy(aad.data() + kPipeHeaderBytes, ctx.data(), ctx.size());
         }
-        const BytesView wire = BytesView(frame).subspan(kPipeHeaderBytes);
         const MutBytes out = user.subspan(h.offset, h.chunk_len);
-        const bool opened =
-            keyring_link(src)
-                ? keyring_open(src, wire, aad, out, /*charged=*/false)
-                : key_->open(wire.first(kGcmNonceBytes), aad,
-                             wire.subspan(kGcmNonceBytes), out);
-        if (opened) {
-          have[h.index] = 1;
+        if (try_open_into(BytesView(frame).subspan(kPipeHeaderBytes), out,
+                          aad, src, /*charged=*/false)) {
+          copies[h.index] = 1;
           ++have_n;
           bytes_accepted += h.chunk_len;
           if (h.index == count - 1) total_len = h.offset + h.chunk_len;
           ++counters_.messages_opened;
           ++counters_.chunks_opened;
           counters_.bytes_opened += h.chunk_len;
-          // The open runs on a helper core from the moment the frame
-          // is in memory; the main timeline keeps receiving chunk k+1
+          // The open runs on a helper core from the moment the frame is
+          // in memory; the main timeline keeps receiving chunk k+1
           // while this one decrypts.
-          crypto_done = std::max(crypto_done,
-                                 helper_crypto(h.chunk_len,
-                                               /*encrypt=*/false));
-          return;
+          crypto_done = std::max(
+              crypto_done, helper_crypto(h.chunk_len, /*encrypt=*/false));
+          break;
         }
       }
-      if (round == 0 && comm_->recover_damaged_recv(frame, src, tag)) {
-        ++counters_.nacks_sent;
-        ++counters_.retransmits_recovered;
-        continue;  // the e2e NACK recovered this one chunk, not the message
-      }
-      secure_zero(user);  // never leak a partially verified message
-      if (!frame_ok) {
-        ++counters_.length_failures;
-        throw IntegrityError(
-            "pipelined chunk frame inconsistent mid-message: header does "
-            "not match message " +
-            std::to_string(msg_id) + " (rank " + std::to_string(rank()) +
-            ")");
-      }
-      ++counters_.auth_failures;
-      throw IntegrityError(
-          "authentication tag mismatch on pipelined chunk: message was "
-          "tampered with, corrupted, or spliced from another channel "
-          "(rank " +
-          std::to_string(rank()) + ")");
+      // The e2e NACK recovers this one chunk, not the message.
+      recover_or_fail(
+          frame, src, tag, round, user,
+          frame_ok ? &CryptoCounters::auth_failures
+                   : &CryptoCounters::length_failures,
+          !f.chunk_like() ? "unchunked frame interleaved into a pipelined "
+                            "message"
+          : frame_ok      ? "authentication tag mismatch on pipelined "
+                            "chunk: message was tampered with, corrupted, "
+                            "or spliced from another channel"
+                          : "pipelined chunk frame inconsistent "
+                            "mid-message: header does not match the message");
     }
-  };
-
-  accept_chunk(first_frame);
-  Bytes wire(recv_wire_capacity(cap));
-  while (have_n < count) {
+    if (have_n == count) break;
+    if (wire.empty()) wire.resize(recv_wire_capacity(user.size()));
     const mpi::Status ws = comm_->recv(wire, src, tag);
-    const MutBytes frame = MutBytes(wire).first(ws.bytes);
-    if (!looks_like_chunk(frame)) {
-      // A non-chunk frame inside a pipelined message: wire damage
-      // destroyed the magic (recoverable under ARQ) or the channel is
-      // being abused.
-      if (comm_->recover_damaged_recv(frame, src, tag)) {
-        ++counters_.nacks_sent;
-        ++counters_.retransmits_recovered;
-      }
-      if (!looks_like_chunk(frame)) {
-        secure_zero(user);
-        ++counters_.length_failures;
-        throw IntegrityError(
-            "unchunked frame interleaved into pipelined message " +
-            std::to_string(msg_id) + " from rank " + std::to_string(src) +
-            " (rank " + std::to_string(rank()) + ")");
-      }
-    }
-    if (load_pipe_header(frame.data()).msg_id < msg_id) {
-      // Stale duplicate from an older message, arriving mid-stream.
-      ++counters_.duplicates_suppressed;
-      continue;
-    }
-    accept_chunk(frame);
+    frame = MutBytes(wire).first(ws.bytes);
   }
   if (bytes_accepted != total_len) {
     // Unreachable for an honest sender (headers are authenticated and
@@ -768,7 +711,7 @@ std::optional<mpi::Status> SecureComm::open_pipelined(
         std::to_string(total_len) + "-byte message (rank " +
         std::to_string(rank()) + ")");
   }
-  next_id = msg_id + 1;
+  pipe_recv_next_[{src, tag}] = msg_id + 1;
   if (bind) recv_seq_[{src, tag}] = base + count;
   // Stall only for crypto the wire did not hide: the receive is
   // complete when the last helper core finishes its last chunk.
@@ -786,6 +729,13 @@ std::optional<mpi::Status> SecureComm::open_pipelined(
 
 // ------------------------------------------------------- point-to-point
 
+void SecureComm::seal_p2p(BytesView data, MutBytes wire, int dst, int tag) {
+  seal_into(data, wire,
+            p2p_aad(rank(), dst, tag,
+                    config_.bind_context ? next_send_seq(dst, tag) : 0),
+            dst);
+}
+
 void SecureComm::send(BytesView data, int dst, int tag) {
   // Reject bad arguments before spending crypto time on the payload.
   mpi::validate_user_tag(tag);
@@ -795,29 +745,15 @@ void SecureComm::send(BytesView data, int dst, int tag) {
     return;
   }
   Bytes wire(wire_size(data.size()));
-  if (config_.bind_context) {
-    seal_into(data, wire, p2p_aad(rank(), dst, tag, next_send_seq(dst, tag)),
-              dst);
-  } else {
-    seal_into(data, wire, {}, dst);
-  }
+  seal_p2p(data, wire, dst, tag);
   comm_->send(wire, dst, tag);
 }
 
 mpi::Status SecureComm::recv(MutBytes buf, int src, int tag) {
-  mpi::validate_recv_tag(tag);
-  mpi::validate_recv_peer(src, size());
-  // Sized so any frame fits: an unchunked message of up to buf.size()
-  // payload bytes, or one pipelined chunk (header + AEAD frame of a
-  // chunk no larger than the message).
-  Bytes wire(recv_wire_capacity(buf.size()));
-  for (;;) {
-    const mpi::Status wire_status = comm_->recv(wire, src, tag);
-    if (const auto status = open_any(wire, wire_status, buf)) {
-      return *status;
-    }
-    // Benign fabric duplicate absorbed: wait for the next message.
-  }
+  // irecv + wait, with the request state on the stack.
+  detail::SecureRecvState state;
+  post_recv(state, buf, src, tag);
+  return finish_recv(state);
 }
 
 mpi::Request SecureComm::isend(BytesView data, int dst, int tag) {
@@ -834,26 +770,41 @@ mpi::Request SecureComm::isend(BytesView data, int dst, int tag) {
   }
   auto state = std::make_unique<SecureSendState>();
   state->wire.resize(wire_size(data.size()));
-  if (config_.bind_context) {
-    seal_into(data, state->wire,
-              p2p_aad(rank(), dst, tag, next_send_seq(dst, tag)), dst);
-  } else {
-    seal_into(data, state->wire, {}, dst);
-  }
+  seal_p2p(data, state->wire, dst, tag);
   state->inner = comm_->isend(state->wire, dst, tag);
   return mpi::Request(std::move(state));
 }
 
 mpi::Request SecureComm::irecv(MutBytes buf, int src, int tag) {
+  auto state = std::make_unique<detail::SecureRecvState>();
+  post_recv(*state, buf, src, tag);
+  return mpi::Request(std::move(state));
+}
+
+void SecureComm::post_recv(detail::SecureRecvState& state, MutBytes buf,
+                           int src, int tag) {
   mpi::validate_recv_tag(tag);
   mpi::validate_recv_peer(src, size());
-  auto state = std::make_unique<SecureRecvState>();
-  state->wire.resize(recv_wire_capacity(buf.size()));
-  state->user = buf;
-  state->src = src;
-  state->tag = tag;
-  state->inner = comm_->irecv(state->wire, src, tag);
-  return mpi::Request(std::move(state));
+  // Sized so any frame fits: an unchunked message of up to buf.size()
+  // payload bytes, or one pipelined chunk (header + AEAD frame of a
+  // chunk no larger than the message).
+  state.wire.resize(recv_wire_capacity(buf.size()));
+  state.user = buf;
+  state.src = src;
+  state.tag = tag;
+  state.inner = comm_->irecv(state.wire, src, tag);
+}
+
+mpi::Status SecureComm::finish_recv(detail::SecureRecvState& state) {
+  for (;;) {
+    const mpi::Status ws = comm_->wait(state.inner);
+    if (const auto status = open_message(MutBytes(state.wire).first(ws.bytes),
+                                         ws.source, ws.tag, state.user)) {
+      return *status;
+    }
+    // Benign fabric duplicate absorbed: re-post and wait again.
+    state.inner = comm_->irecv(state.wire, state.src, state.tag);
+  }
 }
 
 mpi::Status SecureComm::wait(mpi::Request& request) {
@@ -867,18 +818,8 @@ mpi::Status SecureComm::wait(mpi::Request& request) {
   if (auto* pipe_state = dynamic_cast<SecurePipeSendState*>(owned.get())) {
     return pipe_state->status;  // chunks were all dispatched in isend
   }
-  if (auto* recv_state = dynamic_cast<SecureRecvState*>(owned.get())) {
-    mpi::Status wire_status = comm_->wait(recv_state->inner);
-    for (;;) {
-      if (const auto status =
-              open_any(recv_state->wire, wire_status, recv_state->user)) {
-        return *status;
-      }
-      // Benign fabric duplicate absorbed: re-post and wait again.
-      recv_state->inner =
-          comm_->irecv(recv_state->wire, recv_state->src, recv_state->tag);
-      wire_status = comm_->wait(recv_state->inner);
-    }
+  if (auto* recv_state = dynamic_cast<detail::SecureRecvState*>(owned.get())) {
+    return finish_recv(*recv_state);
   }
   throw mpi::MpiError("request does not belong to this secure communicator");
 }
@@ -918,8 +859,7 @@ void SecureComm::barrier() { comm_->barrier(); }
 void SecureComm::bcast(MutBytes data, int root) {
   mpi::validate_peer(root, size());
   const std::uint64_t seq = coll_seq_++;
-  const Bytes aad =
-      config_.bind_context ? coll_aad(root, -1, seq) : Bytes{};
+  const Bytes aad = coll_aad(root, -1, seq);
   Bytes wire(wire_size(data.size()));
   if (rank() == root) seal_into(data, wire, aad);
   comm_->bcast(wire, root);
@@ -934,18 +874,15 @@ void SecureComm::allgather(BytesView sendpart, MutBytes recvall) {
   }
   const std::size_t wire_block = wire_size(block);
   const std::uint64_t seq = coll_seq_++;
-  const bool bind = config_.bind_context;
 
   Bytes wire_send(wire_block);
-  seal_into(sendpart, wire_send,
-            bind ? BytesView(coll_aad(rank(), -1, seq)) : BytesView{});
+  seal_into(sendpart, wire_send, coll_aad(rank(), -1, seq));
   Bytes wire_all(wire_block * n);
   comm_->allgather(wire_send, wire_all);
   for (std::size_t i = 0; i < n; ++i) {
     open_into(BytesView(wire_all).subspan(i * wire_block, wire_block),
               recvall.subspan(i * block, block),
-              bind ? BytesView(coll_aad(static_cast<int>(i), -1, seq))
-                   : BytesView{});
+              coll_aad(static_cast<int>(i), -1, seq));
   }
 }
 
@@ -961,22 +898,19 @@ void SecureComm::alltoall(BytesView sendbuf, MutBytes recvbuf,
   }
   const std::size_t wire_block = wire_size(block);
   const std::uint64_t seq = coll_seq_++;
-  const bool bind = config_.bind_context;
 
   Bytes enc_sendbuf(wire_block * n);
   for (std::size_t i = 0; i < n; ++i) {
     seal_into(sendbuf.subspan(i * block, block),
               MutBytes(enc_sendbuf).subspan(i * wire_block, wire_block),
-              bind ? BytesView(coll_aad(rank(), static_cast<int>(i), seq))
-                   : BytesView{});
+              coll_aad(rank(), static_cast<int>(i), seq));
   }
   Bytes enc_recvbuf(wire_block * n);
   comm_->alltoall(enc_sendbuf, enc_recvbuf, wire_block);
   for (std::size_t i = 0; i < n; ++i) {
     open_into(BytesView(enc_recvbuf).subspan(i * wire_block, wire_block),
               recvbuf.subspan(i * block, block),
-              bind ? BytesView(coll_aad(static_cast<int>(i), rank(), seq))
-                   : BytesView{});
+              coll_aad(static_cast<int>(i), rank(), seq));
   }
 }
 
@@ -1009,14 +943,12 @@ void SecureComm::alltoallv(BytesView sendbuf,
   }
 
   const std::uint64_t seq = coll_seq_++;
-  const bool bind = config_.bind_context;
   Bytes enc_sendbuf(send_total);
   for (std::size_t i = 0; i < n; ++i) {
     seal_into(sendbuf.subspan(senddispls[i], sendcounts[i]),
               MutBytes(enc_sendbuf)
                   .subspan(wire_senddispls[i], wire_sendcounts[i]),
-              bind ? BytesView(coll_aad(rank(), static_cast<int>(i), seq))
-                   : BytesView{});
+              coll_aad(rank(), static_cast<int>(i), seq));
   }
   Bytes enc_recvbuf(recv_total);
   comm_->alltoallv(enc_sendbuf, wire_sendcounts, wire_senddispls,
@@ -1025,8 +957,7 @@ void SecureComm::alltoallv(BytesView sendbuf,
     open_into(BytesView(enc_recvbuf)
                   .subspan(wire_recvdispls[i], wire_recvcounts[i]),
               recvbuf.subspan(recvdispls[i], recvcounts[i]),
-              bind ? BytesView(coll_aad(static_cast<int>(i), rank(), seq))
-                   : BytesView{});
+              coll_aad(static_cast<int>(i), rank(), seq));
   }
 }
 
@@ -1036,11 +967,9 @@ void SecureComm::gather(BytesView sendpart, MutBytes recvall, int root) {
   const std::size_t block = sendpart.size();
   const std::size_t wire_block = wire_size(block);
   const std::uint64_t seq = coll_seq_++;
-  const bool bind = config_.bind_context;
 
   Bytes wire_send(wire_block);
-  seal_into(sendpart, wire_send,
-            bind ? BytesView(coll_aad(rank(), root, seq)) : BytesView{});
+  seal_into(sendpart, wire_send, coll_aad(rank(), root, seq));
   Bytes wire_all(rank() == root ? wire_block * n : 0);
   comm_->gather(wire_send, wire_all, root);
   if (rank() == root) {
@@ -1050,8 +979,7 @@ void SecureComm::gather(BytesView sendpart, MutBytes recvall, int root) {
     for (std::size_t i = 0; i < n; ++i) {
       open_into(BytesView(wire_all).subspan(i * wire_block, wire_block),
                 recvall.subspan(i * block, block),
-                bind ? BytesView(coll_aad(static_cast<int>(i), root, seq))
-                     : BytesView{});
+                coll_aad(static_cast<int>(i), root, seq));
     }
   }
 }
@@ -1063,7 +991,6 @@ void SecureComm::scatter(BytesView sendall, MutBytes recvpart, int root) {
   const std::size_t wire_block = wire_size(block);
 
   const std::uint64_t seq = coll_seq_++;
-  const bool bind = config_.bind_context;
   Bytes wire_all;
   if (rank() == root) {
     if (sendall.size() != block * n) {
@@ -1073,14 +1000,12 @@ void SecureComm::scatter(BytesView sendall, MutBytes recvpart, int root) {
     for (std::size_t i = 0; i < n; ++i) {
       seal_into(sendall.subspan(i * block, block),
                 MutBytes(wire_all).subspan(i * wire_block, wire_block),
-                bind ? BytesView(coll_aad(root, static_cast<int>(i), seq))
-                     : BytesView{});
+                coll_aad(root, static_cast<int>(i), seq));
     }
   }
   Bytes wire_recv(wire_block);
   comm_->scatter(wire_all, wire_recv, root);
-  open_into(wire_recv, recvpart,
-            bind ? BytesView(coll_aad(root, rank(), seq)) : BytesView{});
+  open_into(wire_recv, recvpart, coll_aad(root, rank(), seq));
 }
 
 double run_secure_world(const mpi::WorldConfig& world_config,

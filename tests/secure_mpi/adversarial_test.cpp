@@ -6,6 +6,7 @@
 // playing the plain protocol or from the fabric's FaultPlan.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <vector>
 
 #include "emc/secure_mpi/secure_comm.hpp"
@@ -397,6 +398,113 @@ TEST(AdversarialWire, SeededCampaignIsDeterministic) {
             60u - first.faults.corrupted - first.faults.truncated);
   const Outcome other = campaign(99);
   EXPECT_FALSE(first.faults == other.faults) << "seed must matter";
+}
+
+// ----------------------------------------------- forged pipelined chunks
+
+/// Runs one forged-chunk scenario. Rank 0 sends a genuine 3-chunk
+/// pipelined message to rank 1, which plays man-in-the-middle: it
+/// captures the raw chunk frames through the plain Comm and hands
+/// @p forge the captured frames; every frame @p forge returns is sent
+/// on to rank 2 in order. Without context binding a chunk's AAD is
+/// only its own header, so re-routed genuine chunks still
+/// authenticate at rank 2. Rank 2 receives the message from rank 1
+/// and must fail closed: IntegrityError, @p counter moved exactly
+/// once, and the user buffer (which already held chunk 0's
+/// plaintext) wiped.
+void forged_chunk_case(
+    const std::function<std::vector<Bytes>(const std::vector<Bytes>&)>& forge,
+    std::uint64_t CryptoCounters::*counter) {
+  constexpr std::size_t kChunk = 1024;
+  constexpr std::size_t kMessage = 3 * kChunk;
+  SecureConfig secure_config = plain_crypto();
+  secure_config.nonce_mode = NonceMode::kCounter;
+  secure_config.pipeline.enabled = true;
+  secure_config.pipeline.chunk_bytes = kChunk;
+  secure_config.pipeline.min_bytes = kChunk;
+  mpi::run_world(world_of(3, 1), [&](Comm& comm) {
+    SecureComm secure(comm, secure_config);
+    if (comm.rank() == 0) {
+      secure.send(Bytes(kMessage, 0x5A), 1, 4);
+    } else if (comm.rank() == 1) {
+      std::vector<Bytes> frames;
+      for (int k = 0; k < 3; ++k) {
+        Bytes frame(kPipeHeaderBytes + SecureComm::wire_size(kMessage));
+        const Status st = comm.recv(frame, 0, 4);
+        frame.resize(st.bytes);
+        ASSERT_EQ(load_be32(frame.data()), kPipeMagic);
+        frames.push_back(std::move(frame));
+      }
+      for (const Bytes& f : forge(frames)) comm.send(f, 2, 4);
+    } else {
+      Bytes buf(kMessage, 0xFF);
+      EXPECT_THROW((void)secure.recv(buf, 1, 4), IntegrityError);
+      EXPECT_EQ(secure.counters().*counter, 1u);
+      EXPECT_EQ(secure.counters().faults_detected(), 1u);
+      EXPECT_EQ(secure.counters().chunks_opened, 1u)
+          << "chunk 0 must have been opened before the forgery hit";
+      EXPECT_EQ(buf, Bytes(kMessage, 0x00))
+          << "a partially verified message must be wiped";
+    }
+  });
+}
+
+/// Rewrites one header field of a captured chunk frame.
+Bytes with_header(Bytes frame,
+                  const std::function<void(PipeChunkHeader&)>& edit) {
+  PipeChunkHeader h = load_pipe_header(frame.data());
+  edit(h);
+  store_pipe_header(frame.data(), h);
+  return frame;
+}
+
+TEST(AdversarialChunk, FrameLengthDisagreeingWithHeaderRejected) {
+  forged_chunk_case(
+      [](const std::vector<Bytes>& f) {
+        Bytes short_frame = f[1];
+        short_frame.resize(short_frame.size() - 100);  // header says 1024
+        return std::vector<Bytes>{f[0], short_frame};
+      },
+      &CryptoCounters::length_failures);
+}
+
+TEST(AdversarialChunk, IndexAtOrBeyondCountRejected) {
+  forged_chunk_case(
+      [](const std::vector<Bytes>& f) {
+        return std::vector<Bytes>{
+            f[0], with_header(f[1], [](PipeChunkHeader& h) { h.index = 3; })};
+      },
+      &CryptoCounters::length_failures);
+}
+
+TEST(AdversarialChunk, OffsetPlusLengthBeyondReceiveBufferRejected) {
+  forged_chunk_case(
+      [](const std::vector<Bytes>& f) {
+        return std::vector<Bytes>{
+            f[0],
+            with_header(f[1], [](PipeChunkHeader& h) { h.offset = 2500; })};
+      },
+      &CryptoCounters::length_failures);
+}
+
+TEST(AdversarialChunk, UnchunkedFrameMidMessageRejected) {
+  forged_chunk_case(
+      [](const std::vector<Bytes>& f) {
+        Bytes plain_frame(SecureComm::wire_size(64), 0x00);
+        EXPECT_NE(load_be32(plain_frame.data()), kPipeMagic);
+        return std::vector<Bytes>{f[0], plain_frame};
+      },
+      &CryptoCounters::length_failures);
+}
+
+TEST(AdversarialChunk, ThirdCopyOfDeliveredChunkIsAReplay) {
+  // The second copy of chunk 0 is a benign fabric duplicate (absorbed
+  // without crypto); the third can only be an attacker re-injecting.
+  forged_chunk_case(
+      [](const std::vector<Bytes>& f) {
+        return std::vector<Bytes>{f[0], f[0], f[0]};
+      },
+      &CryptoCounters::replays_rejected);
 }
 
 }  // namespace

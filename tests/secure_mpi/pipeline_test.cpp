@@ -300,6 +300,93 @@ TEST(PipelineFaults, TamperedChunkRecoversViaEndToEndNack) {
   EXPECT_GE(world.reliability()->stats().e2e_nacks, 1u);
 }
 
+/// A plan whose one scripted corruption flips bit @p mask of byte
+/// [@p lo, @p hi) of the @p nth frame (of @p frame_bytes bytes) on the
+/// 0 -> 1 link; mask 0 accepts any bit. Each draw is a pure function
+/// of (seed, link, message index), so scanning seeds finds one.
+net::FaultPlan corrupt_byte(std::uint64_t nth, std::size_t frame_bytes,
+                            std::size_t lo, std::size_t hi,
+                            std::uint8_t mask = 0) {
+  net::FaultPlan plan = nth_fault(net::FaultKind::kCorrupt, nth);
+  for (plan.seed = 1;; ++plan.seed) {
+    net::FaultInjector probe(plan);
+    net::FaultDecision d;
+    for (std::uint64_t k = 0; k <= nth; ++k) d = probe.next(0, 1, frame_bytes);
+    if (d.position >= lo && d.position < hi &&
+        (mask == 0 || d.flip_mask == mask)) {
+      return plan;
+    }
+  }
+}
+
+/// Sends @p messages 3-chunk pipelined messages 0 -> 1 under ARQ with
+/// @p plan's one corruption of a chunk header, and requires every
+/// message to be delivered intact or to fail closed — never a receive
+/// parked forever behind a chunk misread as a stale or repeated copy.
+void expect_header_damage_recovered(const net::FaultPlan& plan,
+                                    int messages, bool may_fail_closed) {
+  WorldConfig config = world_of(2);
+  config.cluster.faults = plan;
+  config.reliability.enabled = true;
+  World world(config);
+  world.run([&](Comm& plain) {
+    SecureComm comm(plain, piped());
+    const Bytes msg = patterned(3 * 1024);
+    for (int m = 0; m < messages; ++m) {
+      if (plain.rank() == 0) {
+        comm.send(msg, 1, 5);
+        continue;
+      }
+      Bytes buf(msg.size(), 0xAA);
+      try {
+        const Status st = comm.recv(buf, 0, 5);
+        EXPECT_EQ(st.bytes, msg.size());
+        EXPECT_EQ(buf, msg);
+      } catch (const IntegrityError&) {
+        EXPECT_TRUE(may_fail_closed);
+        EXPECT_EQ(comm.counters().length_failures, 1u);
+        EXPECT_EQ(buf, Bytes(msg.size(), 0x00)) << "partial plaintext leaked";
+        return;
+      }
+    }
+    if (plain.rank() == 1) {
+      EXPECT_EQ(comm.counters().nacks_sent, 1u);
+      EXPECT_EQ(comm.counters().duplicates_suppressed, 0u);
+      EXPECT_EQ(comm.counters().replays_rejected, 0u);
+    }
+  });
+  EXPECT_EQ(world.reliability()->stats().damaged_deliveries, 1u);
+}
+
+constexpr std::size_t kChunkFrame =
+    kPipeHeaderBytes + SecureComm::wire_size(1024);
+
+TEST(PipelineFaults, RecoveredFirstChunkWithDamagedMsgIdNeverHangs) {
+  // A flip in chunk 0's msg_id field (header bytes 16..23) raises the
+  // first message's id 0. The receiver keys the message on the damaged
+  // id; the e2e NACK then restores a frame whose real id is lower. That
+  // frame must not pass for a stale copy of an older message (which
+  // would swallow every later chunk): it is delivered or fails closed.
+  expect_header_damage_recovered(corrupt_byte(0, kChunkFrame, 16, 24), 1,
+                                 /*may_fail_closed=*/true);
+}
+
+TEST(PipelineFaults, FirstChunkDamagedToAnOlderMsgIdIsRecovered) {
+  // Message 1's chunk 0 (the 4th frame) has msg_id bit 0 flipped: it
+  // reads as message 0, already delivered. The ARQ stash proves the
+  // damage, so it is recovered instead of absorbed as stale.
+  expect_header_damage_recovered(corrupt_byte(3, kChunkFrame, 23, 24, 0x01),
+                                 2, /*may_fail_closed=*/false);
+}
+
+TEST(PipelineFaults, ChunkDamagedToAnAcceptedIndexIsRecovered) {
+  // Chunk 1 has index bit 0 flipped: it reads as another copy of the
+  // accepted chunk 0. The ARQ stash proves the damage, so it is
+  // recovered instead of absorbed as a fabric duplicate.
+  expect_header_damage_recovered(corrupt_byte(1, kChunkFrame, 7, 8, 0x01), 1,
+                                 /*may_fail_closed=*/false);
+}
+
 TEST(PipelineFaults, TamperedChunkWithoutArqRejectsWholeMessage) {
   // No reliability layer: the damaged chunk cannot be recovered, so
   // the receive fails closed — IntegrityError, with every already

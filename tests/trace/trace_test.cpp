@@ -7,6 +7,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "emc/mpi/comm.hpp"
 #include "emc/mpi/world.hpp"
@@ -317,6 +318,79 @@ TEST(TraceArq, RetransmissionTimeIsAttributed) {
   // The dropped first eager frame forces an ARQ dialogue whose cost
   // lands on the receiving rank's timeline.
   EXPECT_GT(seconds_of(*rec, 1, trace::Category::kArqRetransmit), 0.0);
+}
+
+/// Three nodes, one rank each, with node 0 <-> node 2 traffic routed
+/// through node 1 (one relay: two hops), ARQ on.
+mpi::WorldConfig relayed_arq_config() {
+  mpi::WorldConfig config;
+  config.cluster.num_nodes = 3;
+  config.cluster.ranks_per_node = 1;
+  config.cluster.routes.push_back({0, 2, {1}});
+  config.cluster.routes.push_back({2, 0, {1}});
+  config.reliability.enabled = true;
+  return config;
+}
+
+void relayed_send_body(mpi::Comm& comm) {
+  Bytes buf(1024, 0x33);
+  if (comm.rank() == 0) comm.send(buf, 2, 1);
+  if (comm.rank() == 2) comm.recv(buf, 0, 1);
+}
+
+TEST(TraceArq, CleanRelayedDeliveryIsRelayForwardNotRetransmit) {
+  // The routed ARQ channel puts one transmission on the wire per hop,
+  // so a clean one-relay delivery counts two: that is forwarding, not
+  // recovery.
+  mpi::WorldConfig config = relayed_arq_config();
+  const auto rec = attach_recorder(config);
+  mpi::run_world(config, relayed_send_body);
+  EXPECT_GT(seconds_of(*rec, 2, trace::Category::kRelayForward), 0.0);
+  EXPECT_EQ(seconds_of(*rec, 2, trace::Category::kArqRetransmit), 0.0);
+}
+
+TEST(TraceArq, DroppedFirstHopOnRelayedRouteIsRetransmit) {
+  mpi::WorldConfig config = relayed_arq_config();
+  config.cluster.faults.triggers.push_back(
+      {.src = 0, .dst = -1, .nth = 0, .kind = net::FaultKind::kDrop});
+  const auto rec = attach_recorder(config);
+  mpi::run_world(config, relayed_send_body);
+  EXPECT_GT(seconds_of(*rec, 2, trace::Category::kArqRetransmit), 0.0);
+}
+
+// ------------------------------------------------------ rendezvous bytes
+
+TEST(TraceRendezvous, SendAndIsendSpansCarryThePayloadBytes) {
+  // Above the Ethernet eager threshold both sends go rendezvous; the
+  // sender's handshake park and NIC drain spans must carry the
+  // payload size whether the send was blocking or waited on later.
+  constexpr std::size_t kSize = 128 * 1024;
+  mpi::WorldConfig config = two_rank_config();
+  const auto rec = attach_recorder(config);
+  mpi::run_world(config, [](mpi::Comm& comm) {
+    Bytes buf(kSize, 0x42);
+    if (comm.rank() == 0) {
+      comm.send(buf, 1, 1);
+      mpi::Request r = comm.isend(buf, 1, 2);
+      comm.wait(r);
+    } else {
+      comm.recv(buf, 0, 1);
+      comm.recv(buf, 0, 2);
+    }
+  });
+  // One NIC-drain span per send; the isend's handshake park is
+  // non-empty too (the receiver is still busy with the first payload).
+  std::vector<std::uint64_t> drain_bytes;
+  std::vector<std::uint64_t> sync_bytes;
+  for (const trace::Event& e : rec->events(0)) {
+    if (e.category == trace::Category::kNicQueue) drain_bytes.push_back(e.bytes);
+    if (e.category == trace::Category::kSyncWait) sync_bytes.push_back(e.bytes);
+  }
+  ASSERT_EQ(drain_bytes.size(), 2u);
+  EXPECT_EQ(drain_bytes[0], kSize) << "blocking send";
+  EXPECT_EQ(drain_bytes[1], drain_bytes[0]) << "isend + wait";
+  ASSERT_FALSE(sync_bytes.empty());
+  for (const std::uint64_t b : sync_bytes) EXPECT_EQ(b, kSize);
 }
 
 // ------------------------------------------------------- export format
